@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import InvalidStateError, NumericalError
@@ -24,7 +24,6 @@ from .scenarios import (
     emit_csv,
     extract_features,
     parse_config_file,
-    preset_config,
     resolved_config_text,
     run_scenario,
 )
@@ -189,20 +188,18 @@ def _cmd_features(args):
 
 
 def _cmd_preset(args):
-    overrides = {}
-    for dest, field_name in _FLAG_TO_FIELD.items():
-        if field_name in ("output_path", "topology"):
-            continue
-        provided = getattr(args, dest, None)
-        if provided is not None:
-            overrides[field_name] = provided
+    # precedence as in simulate: preset < config file < flags; the topology
+    # loop and the output directory decide the rest
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     topologies = (args.topology,) if args.topology else ("separate", "common")
+    base = dict(PRESETS[args.name], preset=args.name)
     for topology in topologies:
-        cfg = preset_config(args.name, topology, **overrides)
-        cfg.output_path = str(out_dir / f"{args.name}-{topology}.csv")
-        cfg.validate()
+        cfg = replace(
+            _resolve_config(args, base),
+            topology=topology,
+            output_path=str(out_dir / f"{args.name}-{topology}.csv"),
+        )
         curve = run_scenario(cfg)
         _write_outputs(curve, cfg)
     return EXIT_OK

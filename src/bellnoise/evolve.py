@@ -5,7 +5,10 @@ Each noise realization rotates the two qubits by accumulated phases
 depends only on ``exp(2i (phi_A + phi_B))``.  Ensemble averages therefore
 live in a one-complex-parameter family (:func:`dephased_bell_state`), and
 this module provides three mutually checking routes to them: Monte Carlo,
-Gauss-Legendre quadrature (static noise), and closed forms.
+Gauss-Legendre quadrature (static noise), and closed forms.  Every route
+takes a scalar time or an ascending time grid, computes the mean phase
+factor ``z`` on the whole grid as one array, and returns
+``dephased_bell_state(z)``: one 4x4 state, or one per grid time.
 
 The single-qubit energy offset only ever multiplies the evolution by a
 global phase, so it never appears in any output.
@@ -35,6 +38,10 @@ _CHUNK = 1024
 # Gauss-Legendre integrates exp(i w x) on [-1, 1] spectrally while w stays
 # below about this many radians per node.
 _RAD_PER_NODE = 1.4
+# Node count when none is given, unless the grid needs more.  leggauss builds
+# a dense n x n matrix, so the automatic count stops at _MAX_AUTO_NODES.
+_DEFAULT_NODES = 64
+_MAX_AUTO_NODES = 1024
 
 
 def check_topology(topology):
@@ -73,21 +80,18 @@ def dephased_bell_state(z):
 
     ``z`` is the ensemble average of ``exp(2i (phi_A + phi_B))``; ``z = 1``
     gives back the Bell projector and ``z = 0`` the fully dephased mixture.
+    An array of ``z`` gives an array of states of shape ``z.shape + (4, 4)``.
     Hermiticity and unit trace hold by construction.
     """
-    z = complex(z)
-    plus = 0.25 * (1.0 + z.real)
-    minus = 0.25 * (1.0 - z.real)
-    off = 0.25j * z.imag
-    return np.array(
-        [
-            [plus, off, off, plus],
-            [-off, minus, minus, -off],
-            [-off, minus, minus, -off],
-            [plus, off, off, plus],
-        ],
-        dtype=complex,
-    )
+    z = np.asarray(z, dtype=complex)
+    rho = np.empty(z.shape + (4, 4), dtype=complex)
+    # rows and columns 0 and 3 hold |00>, |11>; 1 and 2 hold |01>, |10>
+    off = (0.25j * z.imag)[..., None, None]
+    rho[..., ::3, ::3] = (0.25 * (1.0 + z.real))[..., None, None]
+    rho[..., 1:3, 1:3] = (0.25 * (1.0 - z.real))[..., None, None]
+    rho[..., ::3, 1:3] = off
+    rho[..., 1:3, ::3] = -off
+    return rho
 
 
 def realization_state(phi_a, phi_b):
@@ -96,69 +100,73 @@ def realization_state(phi_a, phi_b):
 
 
 def closed_form_static(ham, noise, topology, t):
-    """Static-noise average in closed form.
+    """Static-noise average in closed form, at a scalar time or on a grid.
 
     The mean phase factor is ``exp(-4i c0 nu t)`` times ``sinc(delta_c nu t)^2``
     for separate environments or ``sinc(2 delta_c nu t)`` for a common one.
     """
     check_topology(topology)
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    x = noise.delta_c * ham.nu * t
+    times, shape = _time_grid(t)
+    x = noise.delta_c * ham.nu * times
     envelope = sinc(x) ** 2 if topology == "separate" else sinc(2.0 * x)
-    z = np.exp(-4j * noise.c0 * ham.nu * t) * envelope
-    return dephased_bell_state(z)
+    z = np.exp(-4j * noise.c0 * ham.nu * times) * envelope
+    return dephased_bell_state(z.reshape(shape))
 
 
 def closed_form_rtn(ham, rtn, topology, t):
-    """Telegraph-noise average in closed form.
+    """Telegraph-noise average in closed form, at a scalar time or on a grid.
 
     The mean phase factor is ``decay_factor(2 nu)^2`` for separate
     environments and ``decay_factor(4 nu)`` for a common one; it is real, so
     the state is an X-form mixture of two Bell states at all times.
     """
     check_topology(topology)
+    times, shape = _time_grid(t)
     if topology == "separate":
-        lam = decay_factor(2.0 * ham.nu, rtn.gamma, t) ** 2
+        z = decay_factor(2.0 * ham.nu, rtn.gamma, times) ** 2
     else:
-        lam = decay_factor(4.0 * ham.nu, rtn.gamma, t)
-    return dephased_bell_state(lam)
+        z = decay_factor(4.0 * ham.nu, rtn.gamma, times)
+    return dephased_bell_state(z.reshape(shape))
 
 
-def average_static_quadrature(ham, noise, topology, t, nodes=64):
-    """Static-noise average by Gauss-Legendre quadrature of realization states.
+def average_static_quadrature(ham, noise, topology, t, nodes=None):
+    """Static-noise average by Gauss-Legendre quadrature over the flat couplings.
 
-    Tensor-product rule over (c_A, c_B) for separate environments, a single
-    axis for a common one.  The integrand oscillates like
-    ``exp(2i nu t (c_A + c_B))``, so the rule is spectrally convergent while
-    its oscillation, ``delta_c nu t`` radians (separate) or ``2 delta_c nu t``
-    (common), stays within 1.4 radians per node.  Beyond that bound the rule
-    does not resolve the integrand, and :class:`NumericalError` is raised
-    with the smallest node count that does.
+    ``t`` may be a scalar or an ascending grid.  Each environment contributes
+    the 1-D rule ``g = sum_k w_k exp(-i rate nu t c_k)``, with rate 2 for
+    separate environments and 4 for a common one.  A common environment has
+    ``z = g``; separate ones have ``z = g^2``, since the tensor-product rule
+    over ``(c_A, c_B)`` factorises exactly into two 1-D rules.
+
+    The rule is spectrally convergent while its oscillation at the grid's
+    largest time, ``delta_c nu t`` radians (separate) or ``2 delta_c nu t``
+    (common), stays within 1.4 radians per node.  ``nodes=None`` chooses
+    ``max(64, ceil(oscillation / 1.4))`` nodes, at most 1024.  A node count
+    beyond the bound raises :class:`NumericalError` with the smallest count
+    that resolves the integrand.
     """
     check_topology(topology)
-    if nodes < 2:
+    times, shape = _time_grid(t)
+    if nodes is not None and nodes < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {nodes}")
-    spread = noise.delta_c * ham.nu * t
+    spread = noise.delta_c * ham.nu * float(times.max(initial=0.0))
     oscillation = spread if topology == "separate" else 2.0 * spread
+    needed = math.ceil(oscillation / _RAD_PER_NODE)
+    if nodes is None:
+        nodes = min(max(_DEFAULT_NODES, needed), _MAX_AUTO_NODES)
     if oscillation > _RAD_PER_NODE * nodes:
         raise NumericalError(
             f"{nodes}-node quadrature cannot resolve {oscillation:.6g} rad of oscillation "
             f"({topology} environments, delta_c nu t = {spread:.6g}); "
-            f"needs nodes >= {math.ceil(oscillation / _RAD_PER_NODE)}"
+            f"needs nodes >= {needed}"
         )
     x, w = np.polynomial.legendre.leggauss(int(nodes))
     couplings = noise.c0 + 0.5 * noise.delta_c * x
     weights = 0.5 * w  # flat density times half-width: weights sum to 1
-    acc = np.zeros((4, 4), dtype=complex)
-    if topology == "separate":
-        for wi, ci in zip(weights, couplings):
-            for wj, cj in zip(weights, couplings):
-                acc += (wi * wj) * realization_state(-ham.nu * ci * t, -ham.nu * cj * t)
-    else:
-        for wi, ci in zip(weights, couplings):
-            acc += wi * realization_state(-ham.nu * ci * t, -ham.nu * ci * t)
-    return acc
+    rate = 2.0 if topology == "separate" else 4.0
+    g = np.exp(-1j * rate * ham.nu * np.outer(times, couplings)) @ weights
+    z = g * g if topology == "separate" else g
+    return dephased_bell_state(z.reshape(shape))
 
 
 def _static_chunk(args):
@@ -225,14 +233,16 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
 
 
 def _time_grid(t):
+    # A scalar or an ascending 1-D grid; the shape is kept so that a scalar
+    # time gives back a single state.
     times = np.asarray(t, dtype=float)
-    scalar = times.ndim == 0
+    shape = times.shape
     times = np.atleast_1d(times)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
+    if not np.all(np.isfinite(times)) or np.any(times < 0):
+        raise ValueError("times must be finite and nonnegative")
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly ascending")
-    return times, scalar
+    return times, shape
 
 
 def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
@@ -254,12 +264,11 @@ def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
     check_topology(topology)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    times, scalar = _time_grid(t)
+    times, shape = _time_grid(t)
     payload = (ham, noise, topology, times, int(seed), int(n_samples))
     means = _mc_mean(_static_chunk, payload, int(n_samples), workers)
     z = np.exp(-4j * noise.c0 * ham.nu * times) * np.prod(means, axis=0)
-    states = np.stack([dephased_bell_state(value) for value in z])
-    return states[0] if scalar else states
+    return dephased_bell_state(z.reshape(shape))
 
 
 def average_rtn_mc(ham, rtn, topology, t_grid, n_traj, seed, workers=1):
@@ -287,9 +296,8 @@ def average_rtn_mc(ham, rtn, topology, t_grid, n_traj, seed, workers=1):
     check_topology(topology)
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    times, scalar = _time_grid(t_grid)
+    times, shape = _time_grid(t_grid)
     payload = (ham, rtn, topology, times, int(seed))
     first, second = _mc_mean(_rtn_chunk, payload, int(n_traj), workers)
     z = (first * second).real
-    states = np.stack([dephased_bell_state(value) for value in z])
-    return states[0] if scalar else states
+    return dephased_bell_state(z.reshape(shape))

@@ -1,14 +1,11 @@
 """Dense complex linear algebra for one- and two-qubit operators.
 
-Everything operates on plain numpy arrays of complex128.  The eigensolver is
-a cyclic Jacobi iteration specialised to the 2x2 and 4x4 Hermitian matrices
-used here; it is dependency-free so its behaviour is easy to audit, and the
-test suite checks it against an independent reference solver.
+Everything operates on plain numpy arrays of complex128.  The eigensolver
+checks its 2x2 or 4x4 Hermitian input and hands it to LAPACK through
+``np.linalg.eigh``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -30,8 +27,6 @@ BELL_PROJECTOR = np.array(
     dtype=complex,
 )
 
-_SWEEP_CAP = 100
-_OFFDIAG_TOL = 1e-13
 _HERMITICITY_TOL = 1e-10
 
 
@@ -70,17 +65,12 @@ def partial_trace(rho, keep):
     raise ValueError(f"unknown subsystem label {keep!r}, expected 'A' or 'B'")
 
 
-def _offdiag_norm(a):
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.linalg.norm(a[mask]))
-
-
 def eigh_hermitian(m):
     """Eigenvalues (ascending) and eigenvector columns of a small Hermitian matrix.
 
-    Input must be Hermitian within 1e-10; it is symmetrised before iterating
+    Input must be Hermitian within 1e-10; it is symmetrised before the solve
     so that rounding-level asymmetry from ensemble averaging is absorbed.
-    Raises :class:`NumericalError` if the Jacobi sweeps do not converge.
+    Raises :class:`NumericalError` if LAPACK does not converge.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in (2, 4):
@@ -90,49 +80,11 @@ def eigh_hermitian(m):
     asymmetry = float(np.max(np.abs(a - a.conj().T)))
     if asymmetry > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asymmetry:.3e}")
-    a = 0.5 * (a + a.conj().T)
-
-    n = a.shape[0]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    tol = _OFFDIAG_TOL * scale
-    v = np.eye(n, dtype=complex)
-    off = _offdiag_norm(a)
-    for _ in range(_SWEEP_CAP):
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary rotation J: identity except J[p,p]=J[q,q]=c,
-                # J[p,q]=s*phase, J[q,p]=-s*conj(phase); apply a <- J^dag a J.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
-                v[:, q] = s * phase * vec_p + c * vec_q
-        off = _offdiag_norm(a)
-    else:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {_SWEEP_CAP} sweeps: "
-            f"off-diagonal norm {off:.3e}, tolerance {tol:.3e}"
-        )
-    w = a.diagonal().real
-    order = np.argsort(w, kind="stable")
-    return w[order].copy(), v[:, order].copy()
+    try:
+        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    return w, v
 
 
 def eigvals_hermitian(m):

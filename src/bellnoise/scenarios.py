@@ -10,6 +10,7 @@ numeric ones, so closed-form and sampled curves can be compared honestly.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 
@@ -51,7 +52,7 @@ class ScenarioConfig:
     t_max: float = 20.0
     n_points: int = 201
     n_samples: int = 100_000
-    quad_nodes: int = 64
+    quad_nodes: int | None = None
     seed: int = 0
     workers: int = 1
     threshold: float = 1e-3
@@ -67,6 +68,10 @@ class ScenarioConfig:
             problems.append(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
         if self.method not in METHODS:
             problems.append(f"method must be one of {METHODS}, got {self.method!r}")
+        for name in ("nu", "gamma", "c0", "delta_c", "t_max", "threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                problems.append(f"{name} must be finite, got {value}")
         if not self.nu > 0:
             problems.append(f"nu must be positive, got {self.nu}")
         if not self.t_max > 0:
@@ -89,7 +94,7 @@ class ScenarioConfig:
                 problems.append(f"static noise needs delta_c > 0, got {self.delta_c}")
         if self.method == "mc" and self.n_samples < 1:
             problems.append(f"mc needs n_samples >= 1, got {self.n_samples}")
-        if self.method == "quadrature" and self.quad_nodes < 2:
+        if self.method == "quadrature" and self.quad_nodes is not None and self.quad_nodes < 2:
             problems.append(f"quadrature needs quad_nodes >= 2, got {self.quad_nodes}")
         if problems:
             raise ValueError("invalid scenario config: " + "; ".join(problems))
@@ -137,26 +142,14 @@ class CurveFeatures:
 def _states_for(cfg, times):
     ham = cfg.hamiltonian()
     noise = cfg.noise_spec()
+    static = cfg.noise_kind == "static"
     if cfg.method == "closed_form":
-        if cfg.noise_kind == "static":
-            return [closed_form_static(ham, noise, cfg.topology, t) for t in times]
-        return [closed_form_rtn(ham, noise, cfg.topology, t) for t in times]
+        closed_form = closed_form_static if static else closed_form_rtn
+        return closed_form(ham, noise, cfg.topology, times)
     if cfg.method == "quadrature":
-        # Latest time first: it oscillates most, so a grid beyond the rule's
-        # resolution fails there and the error names the node count the
-        # whole grid needs.
-        states = [
-            average_static_quadrature(ham, noise, cfg.topology, t, nodes=cfg.quad_nodes)
-            for t in times[::-1]
-        ]
-        return states[::-1]
-    if cfg.noise_kind == "static":
-        return average_static_mc(
-            ham, noise, cfg.topology, times, cfg.n_samples, cfg.seed, workers=cfg.workers
-        )
-    return average_rtn_mc(
-        ham, noise, cfg.topology, times, cfg.n_samples, cfg.seed, workers=cfg.workers
-    )
+        return average_static_quadrature(ham, noise, cfg.topology, times, nodes=cfg.quad_nodes)
+    average = average_static_mc if static else average_rtn_mc
+    return average(ham, noise, cfg.topology, times, cfg.n_samples, cfg.seed, workers=cfg.workers)
 
 
 def _provenance(cfg):
@@ -457,7 +450,7 @@ def _coerce_field(spec, value, lineno):
     text = value.strip().strip("'\"")
     kind = spec.type
     try:
-        if kind in ("int", int):
+        if kind in ("int", int) or kind == "int | None":
             return int(text)
         if kind in ("float", float) or kind == "float | None":
             return float(text)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,20 @@ class TestQuadrature:
         fine = average_static_quadrature(HAM, noise, "common", 100.0, nodes=143)
         assert np.max(np.abs(fine - closed_form_static(HAM, noise, "common", 100.0))) <= 1e-9
 
+    def test_chooses_node_count_when_unset(self):
+        # max(64, ceil(oscillation / 1.4)) nodes, capped at 1024
+        noise = StaticNoiseSpec(c0=0.5, delta_c=1.0)
+        assert np.array_equal(
+            average_static_quadrature(HAM, noise, "common", 1.0),
+            average_static_quadrature(HAM, noise, "common", 1.0, nodes=64),
+        )
+        assert np.array_equal(
+            average_static_quadrature(HAM, noise, "common", 100.0),
+            average_static_quadrature(HAM, noise, "common", 100.0, nodes=143),
+        )
+        with pytest.raises(NumericalError, match="needs nodes >= 1143"):
+            average_static_quadrature(HAM, noise, "common", 800.0)
+
 
 class TestStaticMonteCarlo:
     def test_time_zero_exact_bell(self):
@@ -257,6 +273,39 @@ class TestRtnMonteCarlo:
         one = average_rtn_mc(HAM, spec, "common", times, 4096, seed=3, workers=1)
         many = average_rtn_mc(HAM, spec, "common", times, 4096, seed=3, workers=8)
         assert np.array_equal(one, many)
+
+
+class TestTimeGrids:
+    GRID = np.linspace(0.0, 6.0, 13)
+
+    def _routes(self):
+        spec = TelegraphSpec(gamma=0.5)
+        for topo in ("separate", "common"):
+            yield partial(closed_form_static, HAM, STATIC, topo)
+            yield partial(closed_form_rtn, HAM, spec, topo)
+            yield partial(average_static_quadrature, HAM, STATIC, topo)
+            yield partial(average_static_quadrature, HAM, STATIC, topo, nodes=32)
+            yield partial(average_static_mc, HAM, STATIC, topo, n_samples=256, seed=2)
+
+    def test_grid_equals_per_point_calls(self):
+        for route in self._routes():
+            on_grid = route(self.GRID)
+            assert on_grid.shape == (self.GRID.size, 4, 4)
+            per_point = np.stack([route(t) for t in self.GRID])
+            assert np.max(np.abs(on_grid - per_point)) <= 1e-15
+
+    def test_state_family_vectorises(self, rng):
+        z = rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)
+        assert dephased_bell_state(0.3).shape == (4, 4)
+        assert np.array_equal(
+            dephased_bell_state(z), np.stack([dephased_bell_state(v) for v in z])
+        )
+        assert dephased_bell_state(z.reshape(2, 5)).shape == (2, 5, 4, 4)
+
+    def test_rejects_bad_grids(self):
+        for bad in (-0.1, [0.0, np.inf], [1.0, 0.5], [0.0, 0.0]):
+            with pytest.raises(ValueError):
+                closed_form_static(HAM, STATIC, "separate", bad)
 
 
 class TestInvariants:

@@ -68,6 +68,12 @@ class TestConfigValidation:
             (dict(t_max=0.0), "t_max"),
             (dict(workers=0), "workers"),
             (dict(threshold=0.0), "threshold"),
+            (dict(nu=math.inf), "nu must be finite"),
+            (dict(gamma=math.inf), "gamma must be finite"),
+            (dict(c0=math.nan), "c0 must be finite"),
+            (dict(delta_c=math.inf), "delta_c must be finite"),
+            (dict(t_max=math.inf), "t_max must be finite"),
+            (dict(threshold=math.nan), "threshold must be finite"),
         ],
     )
     def test_rejects_bad_rtn_fields(self, overrides, message):
@@ -114,6 +120,28 @@ class TestRunScenario:
         first = run_scenario(cfg)
         second = run_scenario(cfg)
         assert emit_csv(first) == emit_csv(second)
+
+    @pytest.mark.parametrize("topology", ["separate", "common"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            rtn_config(),
+            rtn_config(gamma=5.0),
+            rtn_config(method="mc", n_samples=512),
+            static_config(),
+            static_config(method="quadrature"),
+            static_config(method="mc", n_samples=512),
+        ],
+        ids=["rtn-closed_form", "rtn-fast-closed_form", "rtn-mc",
+             "static-closed_form", "static-quadrature", "static-mc"],
+    )
+    def test_classical_correlations_frozen_along_every_curve(self, config, topology):
+        # every averaged state is a dephased Bell state: C = 1 and I = 1 + Q
+        curve = run_scenario(replace(config, topology=topology, n_points=9))
+        classical = curve.column("classical")
+        excess = curve.column("mutual_info") - 1.0 - curve.column("discord")
+        assert np.max(np.abs(classical - 1.0)) <= 1e-12
+        assert np.max(np.abs(excess)) <= 1e-12
 
     def test_numerical_failure_carries_time_context(self, monkeypatch):
         import bellnoise.scenarios as scenarios
@@ -373,17 +401,40 @@ class TestCli:
         assert "revival 1" in result.stdout
 
     def test_unresolved_quadrature_exits_with_numerical_code(self):
-        # 2 delta_c nu t = 200 rad needs 143 nodes at 1.4 rad per node; the
-        # default 64 must refuse rather than print an unresolved curve
-        result = run_cli(
+        # 2 delta_c nu t = 200 rad needs 143 nodes at 1.4 rad per node; an
+        # explicit 64 must refuse rather than print an unresolved curve
+        args = (
             "simulate",
             "--noise", "static", "--topology", "common", "--method", "quadrature",
             "--c0", "1.0", "--delta-c", "1.0", "--t-max", "100",
         )
+        result = run_cli(*args, "--nodes", "64")
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
         assert "needs nodes >= 143" in result.stderr
         assert result.stdout == ""
+        # without --nodes the count is chosen to resolve the whole grid
+        auto = run_cli(*args)
+        assert auto.returncode == 0
+        numeric, _ = parse_csv(auto.stdout)
+        assert numeric["nt"][-1] == 100.0
+        assert abs(numeric["negativity"][-1] - abs(math.sin(200.0) / 200.0)) <= 1e-9
+
+    def test_non_finite_parameters_exit_with_usage_code(self):
+        rtn = ("--noise", "rtn", "--t-max", "1.0")
+        static = ("--noise", "static", "--delta-c", "1.0")
+        for case in (
+            rtn + ("--gamma", "inf"),
+            static + ("--c0", "nan", "--t-max", "1.0"),
+            static + ("--c0", "1.0", "--t-max", "inf"),
+        ):
+            result = run_cli(
+                "simulate", "--topology", "common", "--method", "closed_form",
+                "--points", "3", *case,
+            )
+            assert result.returncode == 1, (case, result.stderr)
+            assert "must be finite" in result.stderr
+            assert "Warning" not in result.stderr
 
     def test_unwritable_output_path_exits_with_usage_code(self, tmp_path):
         result = run_cli(
@@ -394,6 +445,20 @@ class TestCli:
         )
         assert result.returncode == 1
         assert "i/o error" in result.stderr
+
+    def test_preset_reads_config_file_under_its_flags(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("n_points=5\nt_max=2.0\n")
+        args = ("preset", "fig2-markov", "--topology", "common", "--config", str(config),
+                "--out", str(tmp_path))
+        path = tmp_path / "fig2-markov-common.csv"
+        assert run_cli(*args).returncode == 0
+        numeric, labels = parse_csv(path.read_text())
+        assert numeric["nt"][-1] == 2.0
+        assert labels["topology"] == ["common"] * 5
+        assert "gamma=5.0" in Path(str(path) + ".config").read_text()
+        assert run_cli(*args, "--points", "7").returncode == 0
+        assert len(parse_csv(path.read_text())[0]["nt"]) == 7
 
     def test_preset_writes_both_topologies(self, tmp_path):
         result = run_cli(
