@@ -17,6 +17,7 @@ global phase, so it never appears in any output.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,24 +25,31 @@ import numpy as np
 
 from .errors import NumericalError
 from .noise import (
-    accumulate_phases,
+    accumulate_block_phases,
     decay_factor,
-    sample_static,
-    sample_telegraph_trajectory,
+    sample_telegraph_block,
     substream,
+    telegraph_block_width,
 )
+
+# The scalar samplers stay importable from this module: they are the
+# reference the block kernels are tested against, and the benchmark's
+# tracer wraps them here.
+from .noise import accumulate_phases, sample_static, sample_telegraph_trajectory  # noqa: F401
 
 TOPOLOGIES = ("separate", "common")
 
-_CHUNK = 1024
+# Samples per chunk, and the largest array a chunk's kernel builds at once.
+_CHUNK = 256
+_BLOCK_ELEMENTS = 1 << 16
 
 # Gauss-Legendre integrates exp(i w x) on [-1, 1] spectrally while w stays
 # below about this many radians per node.
 _RAD_PER_NODE = 1.4
 # Node count when none is given, unless the grid needs more.  leggauss builds
-# a dense n x n matrix, so the automatic count stops at _MAX_AUTO_NODES.
+# a dense n x n matrix, so no count, automatic or given, exceeds MAX_NODES.
 _DEFAULT_NODES = 64
-_MAX_AUTO_NODES = 1024
+MAX_NODES = 1024
 
 
 def check_topology(topology):
@@ -143,17 +151,18 @@ def average_static_quadrature(ham, noise, topology, t, nodes=None):
     (common), stays within 1.4 radians per node.  ``nodes=None`` chooses
     ``max(64, ceil(oscillation / 1.4))`` nodes, at most 1024.  A node count
     beyond the bound raises :class:`NumericalError` with the smallest count
-    that resolves the integrand.
+    that resolves the integrand; an explicit count outside 2 to 1024 raises
+    ``ValueError``, since ``leggauss`` builds a dense n x n matrix.
     """
     check_topology(topology)
     times, shape = _time_grid(t)
-    if nodes is not None and nodes < 2:
-        raise ValueError(f"need at least 2 quadrature nodes, got {nodes}")
+    if nodes is not None and not 2 <= nodes <= MAX_NODES:
+        raise ValueError(f"need 2 to {MAX_NODES} quadrature nodes, got {nodes}")
     spread = noise.delta_c * ham.nu * float(times.max(initial=0.0))
     oscillation = spread if topology == "separate" else 2.0 * spread
     needed = math.ceil(oscillation / _RAD_PER_NODE)
     if nodes is None:
-        nodes = min(max(_DEFAULT_NODES, needed), _MAX_AUTO_NODES)
+        nodes = min(max(_DEFAULT_NODES, needed), MAX_NODES)
     if oscillation > _RAD_PER_NODE * nodes:
         raise NumericalError(
             f"{nodes}-node quadrature cannot resolve {oscillation:.6g} rad of oscillation "
@@ -172,46 +181,56 @@ def average_static_quadrature(ham, noise, topology, t, nodes=None):
 def _static_chunk(args):
     # Row k sums cos(rate * (c - c0)) over one environment's draws: the flat
     # density is symmetric about c0, so each environment's factor is real
-    # once the rotation exp(-2i nu t c0) is taken out.
+    # once the rotation exp(-2i nu t c0) is taken out.  Sample i of the chunk
+    # draws from stratum i in every row.
     ham, noise, topology, times, seed, n_samples, start, stop = args
     rows, rate = (2, 2.0) if topology == "separate" else (1, 4.0)
+    rng = substream(seed, start)
+    fraction = (np.arange(start, stop) + rng.random((rows, stop - start))) / n_samples
+    offsets = (noise.low + (noise.high - noise.low) * fraction) - noise.c0
     rate_times = rate * ham.nu * times
-    acc = np.zeros((rows, times.size))
-    for index in range(start, stop):
-        rng = substream(seed, index)
-        for row in range(rows):
-            coupling = sample_static(noise, rng, stratum=index, strata=n_samples)
-            acc[row] += np.cos(rate_times * (coupling - noise.c0))
+    acc = np.empty((rows, times.size))
+    span = max(1, _BLOCK_ELEMENTS // offsets.size)
+    for first in range(0, times.size, span):
+        phases = rate_times[first : first + span, None] * offsets[:, None, :]
+        acc[:, first : first + span] = np.cos(phases).sum(axis=2)
     return acc
 
 
 def _rtn_chunk(args):
-    # Separate: row k sums cos(2 phi) along environment k's trajectory (real by
-    # sign symmetry).  Common: rows sum exp(-4i nu J) for the sign-normalised
-    # integrals J of one trajectory over [0, t/2], forward from its initial
+    # Separate: row k sums cos(2 phi) along environment k's trajectories (real
+    # by sign symmetry).  Common: rows sum exp(-4i nu J) for the sign-normalised
+    # integrals J of each trajectory over [0, t/2], forward from its initial
     # value, and over [T - t/2, T], backward from its final value.  The two
     # windows hold disjoint sets of flips, so the row means are independent.
+    # Trajectories come in blocks of at most _BLOCK_ELEMENTS entries per array,
+    # a size fixed by (gamma, T, grid) alone.
     ham, rtn, topology, times, seed, start, stop = args
     horizon = float(times.max()) if times.size else 0.0
     separate = topology == "separate"
     acc = np.zeros((2, times.size), dtype=float if separate else complex)
+    if horizon == 0.0:
+        return acc + (stop - start)
     n = times.size
-    windows = np.concatenate([0.5 * times, horizon - 0.5 * times, [horizon]])
-    for index in range(start, stop):
-        rng = substream(seed, index)
-        if horizon == 0.0:
-            acc += 1.0
-            continue
-        if separate:
-            for row in range(2):
-                trajectory = sample_telegraph_trajectory(rtn, horizon, rng)
-                acc[row] += np.cos(2.0 * accumulate_phases(trajectory, ham.nu, times))
-        else:
-            trajectory = sample_telegraph_trajectory(rtn, horizon, rng)
-            phases = accumulate_phases(trajectory, ham.nu, windows)
-            final = trajectory.initial_value * (-1) ** len(trajectory.flip_times)
-            acc[0] += np.exp((4j * trajectory.initial_value) * phases[:n])
-            acc[1] += np.exp((4j * final) * (phases[-1] - phases[n:-1]))
+    if separate:
+        queries = times
+    else:
+        queries = np.concatenate([0.5 * times, horizon - 0.5 * times, [horizon]])
+    widest = max(telegraph_block_width(rtn, horizon), queries.size)
+    per_block = max(1, _BLOCK_ELEMENTS // widest)
+    rng = substream(seed, start)
+    for row in range(2 if separate else 1):
+        for first in range(start, stop, per_block):
+            block = sample_telegraph_block(rtn, horizon, min(per_block, stop - first), rng)
+            phases = accumulate_block_phases(block, ham.nu, queries)
+            if separate:
+                acc[row] += np.cos(2.0 * phases).sum(axis=0)
+            else:
+                flips = np.count_nonzero(block.flips < horizon, axis=1)
+                initial = block.initial[:, None]
+                final = initial * (-1.0) ** flips[:, None]
+                acc[0] += np.exp((4j * initial) * phases[:, :n]).sum(axis=0)
+                acc[1] += np.exp((4j * final) * (phases[:, -1:] - phases[:, n:-1])).sum(axis=0)
     return acc
 
 
@@ -219,17 +238,30 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
     # Chunk boundaries are fixed by n_samples alone and each chunk is reduced
     # in index order, so the result is bit-identical for any worker count.
     # Chunks return per-row sums, one row per independent factor of the
-    # estimator; the result holds the row means.
+    # estimator; the result holds the row means.  The pool never outnumbers
+    # the chunks or the CPUs this process may run on.
     tasks = [
         payload + (start, min(start + _CHUNK, n_samples))
         for start in range(0, n_samples, _CHUNK)
     ]
-    if workers <= 1:
+    pool_size = min(int(workers), len(tasks), _usable_cpus())
+    if pool_size <= 1:
         partials = [chunk_fn(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             partials = list(pool.map(chunk_fn, tasks))
-    return np.sum(np.stack(partials, axis=0), axis=0) / float(n_samples)
+    sums = np.sum(np.stack(partials, axis=0), axis=0)
+    if np.iscomplexobj(sums):
+        # numpy divides a complex array through the reciprocal of the divisor,
+        # which takes 425 / 425 to 1 - 1e-16; divide each part exactly instead
+        return sums.real / n_samples + 1j * (sums.imag / n_samples)
+    return sums / n_samples
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _time_grid(t):
@@ -258,8 +290,11 @@ def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
     varies smoothly over a slice.
 
     ``t`` may be a scalar or an ascending grid; one coupling draw per sample
-    is reused across the whole grid.  Deterministic for fixed ``seed``
-    regardless of ``workers``.
+    is reused across the whole grid, so a grid gives the values of per-point
+    calls.  Samples run in chunks of 256, and each chunk draws all of its
+    couplings as one uniform block from the generator of ``(seed, first
+    sample index)``: deterministic for fixed ``seed`` regardless of
+    ``workers``.
     """
     check_topology(topology)
     if n_samples < 1:
@@ -291,7 +326,11 @@ def average_rtn_mc(ham, rtn, topology, t_grid, n_traj, seed, workers=1):
 
     Each trajectory is evaluated at every grid time, so successive times
     share realizations (correlated along the grid, unbiased at each point).
-    Deterministic for fixed ``seed`` regardless of ``workers``.
+    Samples run in chunks of 256, and each chunk draws its trajectories as
+    blocks (:func:`~bellnoise.noise.sample_telegraph_block`) from the
+    generator of ``(seed, first sample index)``; the block shapes depend only
+    on ``gamma``, ``T`` and the grid size.  Deterministic for fixed ``seed``
+    regardless of ``workers``.
     """
     check_topology(topology)
     if n_traj < 1:

@@ -7,9 +7,13 @@ the phases integrated along them are exact; there is no time discretisation
 anywhere in this module.
 
 Reproducibility contract: samplers take an explicit ``numpy.random.Generator``
-and hold no state of their own.  Ensemble code derives one generator per
-sample index via :func:`substream`, which makes results independent of worker
-count and iteration order.
+and hold no state of their own.  Ensemble code splits its samples into chunks
+whose boundaries depend on the sample count alone, and derives one generator
+per chunk from ``(seed, first sample index)`` via :func:`substream`; each
+chunk draws all of its samples from that generator as blocks whose shapes
+depend only on the chunk, the noise parameters and the time grid.  Results
+are therefore independent of worker count and of the order in which chunks
+run.
 """
 
 from __future__ import annotations
@@ -67,8 +71,21 @@ class TelegraphTrajectory:
         return float(value) if np.ndim(t) == 0 else value
 
 
+class TelegraphBlock(NamedTuple):
+    """Many telegraph realizations on ``[0, horizon]``, one per row.
+
+    ``initial`` holds each row's initial sign (+1.0 or -1.0).  ``flips`` holds
+    each row's flip times in ascending order, padded with ``horizon`` to the
+    largest flip count of any row; a padding entry marks no flip.
+    """
+
+    initial: np.ndarray
+    flips: np.ndarray
+    horizon: float
+
+
 def substream(seed, index):
-    """Independent generator for one sample of a seeded ensemble."""
+    """Independent generator for one sample (or chunk of samples) of a seeded ensemble."""
     return np.random.default_rng([int(seed), int(index)])
 
 
@@ -87,21 +104,50 @@ def sample_telegraph_trajectory(spec, horizon, rng):
     """Draw one telegraph trajectory on ``[0, horizon]``.
 
     The initial value is +1 or -1 equiprobably (the stationary choice) and
-    waiting times between flips are exponential with rate ``gamma``, drawn in
-    blocks so a trajectory costs O(gamma * horizon) generator calls.
+    waiting times between flips are exponential with rate ``gamma``.  This is
+    one row of :func:`sample_telegraph_block`, drawn the same way.
+    """
+    block = sample_telegraph_block(spec, horizon, 1, rng)
+    return TelegraphTrajectory(int(block.initial[0]), block.flips[0], block.horizon)
+
+
+def telegraph_block_width(spec, horizon):
+    """Waiting times drawn per trajectory at a time: the mean flip count plus five sigma."""
+    mean_flips = spec.gamma * horizon
+    return max(8, int(mean_flips + 5.0 * math.sqrt(mean_flips) + 8.0))
+
+
+def sample_telegraph_block(spec, horizon, rows, rng):
+    """Draw ``rows`` independent telegraph trajectories on ``[0, horizon]`` at once.
+
+    Each row is distributed as one :func:`sample_telegraph_trajectory`: an
+    equiprobable initial sign and exponential waits of rate ``gamma``.  The
+    waits come as ``(rows, width)`` blocks, cumulated along each row, with
+    further blocks appended while any row ends before the horizon; flip times
+    past the horizon are clipped to it.  Returns a :class:`TelegraphBlock`.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    initial = 1 if rng.random() < 0.5 else -1
-    mean_flips = spec.gamma * horizon
-    block = max(8, int(mean_flips + 5.0 * math.sqrt(mean_flips) + 8.0))
+    initial = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+    width = telegraph_block_width(spec, horizon)
     scale = 1.0 / spec.gamma
-    times = np.cumsum(rng.exponential(scale, size=block))
-    while times[-1] < horizon:
-        more = np.cumsum(rng.exponential(scale, size=block)) + times[-1]
-        times = np.concatenate([times, more])
-    flips = times[times < horizon]
-    return TelegraphTrajectory(initial, flips, float(horizon))
+    times = np.cumsum(rng.exponential(scale, size=(rows, width)), axis=1)
+    while rows and times[:, -1].min() < horizon:
+        more = np.cumsum(rng.exponential(scale, size=(rows, width)), axis=1)
+        times = np.concatenate([times, more + times[:, -1:]], axis=1)
+    # Columns past every row's last flip would hold the horizon alone.
+    most = int(np.count_nonzero(times < horizon, axis=1).max(initial=0))
+    flips = np.minimum(times[:, :most], horizon)
+    return TelegraphBlock(initial, flips, float(horizon))
+
+
+def _times_within(times, horizon):
+    times = np.asarray(times, dtype=float)
+    if times.size and (times.min() < 0.0 or times.max() > horizon):
+        raise ValueError(
+            f"times must lie within [0, {horizon}], got range [{times.min()}, {times.max()}]"
+        )
+    return times
 
 
 def accumulate_phases(trajectory, nu, times):
@@ -110,12 +156,7 @@ def accumulate_phases(trajectory, nu, times):
     The integral is evaluated exactly segment by segment, so the only error
     is floating-point rounding.  All times must lie in ``[0, horizon]``.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and (times.min() < 0.0 or times.max() > trajectory.horizon):
-        raise ValueError(
-            f"times must lie within [0, {trajectory.horizon}], "
-            f"got range [{times.min()}, {times.max()}]"
-        )
+    times = _times_within(times, trajectory.horizon)
     flips = trajectory.flip_times
     k = len(flips)
     # Value on each inter-flip segment, and the running integral at each flip.
@@ -125,6 +166,30 @@ def accumulate_phases(trajectory, nu, times):
     idx = np.searchsorted(flips, times, side="right")
     integral = integral_at_flip[idx] + segment_values[idx] * (times - bounds[idx])
     return -nu * integral
+
+
+def accumulate_block_phases(block, nu, times):
+    """Dephasing phases of every row of a :class:`TelegraphBlock` at ``times``.
+
+    Row by row this is :func:`accumulate_phases`: the running integral is
+    exact at each flip and is continued linearly from the last flip at or
+    before each time.  ``times`` may come in any order, all within
+    ``[0, horizon]``.  Returns a ``(rows, len(times))`` array.
+    """
+    times = _times_within(times, block.horizon)
+    rows, k = block.flips.shape
+    segment_values = block.initial[:, None] * (-1.0) ** np.arange(k + 1)
+    bounds = np.concatenate([np.zeros((rows, 1)), block.flips], axis=1)
+    steps = np.cumsum(segment_values[:, :k] * np.diff(bounds, axis=1), axis=1)
+    integral_at_flip = np.concatenate([np.zeros((rows, 1)), steps], axis=1)
+    # Flips at or before each time, one time at a time: a (rows, k) pass each.
+    idx = np.empty((rows, times.size), dtype=np.intp)
+    for j, t in enumerate(times):
+        idx[:, j] = np.count_nonzero(block.flips <= t, axis=1)
+    value, integral, since = (
+        np.take_along_axis(a, idx, axis=1) for a in (segment_values, integral_at_flip, bounds)
+    )
+    return -nu * (integral + value * (times - since))
 
 
 def accumulate_phase(trajectory, nu, t):

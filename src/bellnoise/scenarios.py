@@ -23,6 +23,7 @@ from .correlations import (
 )
 from .errors import SimulationError
 from .evolve import (
+    MAX_NODES,
     TOPOLOGIES,
     HamiltonianSpec,
     average_rtn_mc,
@@ -94,8 +95,9 @@ class ScenarioConfig:
                 problems.append(f"static noise needs delta_c > 0, got {self.delta_c}")
         if self.method == "mc" and self.n_samples < 1:
             problems.append(f"mc needs n_samples >= 1, got {self.n_samples}")
-        if self.method == "quadrature" and self.quad_nodes is not None and self.quad_nodes < 2:
-            problems.append(f"quadrature needs quad_nodes >= 2, got {self.quad_nodes}")
+        # checked whatever the method, so compare rejects it before any quadrature
+        if self.quad_nodes is not None and not 2 <= self.quad_nodes <= MAX_NODES:
+            problems.append(f"quad_nodes must be 2 to {MAX_NODES}, got {self.quad_nodes}")
         if problems:
             raise ValueError("invalid scenario config: " + "; ".join(problems))
 

@@ -1,10 +1,15 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bellnoise import evolve
 from bellnoise.errors import NumericalError
 from bellnoise.evolve import (
+    TOPOLOGIES,
     HamiltonianSpec,
     average_rtn_mc,
     average_static_mc,
@@ -144,6 +149,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             average_static_quadrature(HAM, STATIC, "separate", 1.0, nodes=1)
 
+    def test_rejects_more_nodes_than_the_cap(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"leggauss called with {n} nodes")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        with pytest.raises(ValueError, match="2 to 1024 quadrature nodes"):
+            average_static_quadrature(HAM, STATIC, "separate", 1.0, nodes=1025)
+
     def test_refuses_oscillation_beyond_its_resolution(self):
         # 1.4 rad per node: delta_c nu t = 1.4 * 64 = 89.6 is the last separate
         # time 64 nodes resolve, and half of it the last common one
@@ -273,6 +286,111 @@ class TestRtnMonteCarlo:
         one = average_rtn_mc(HAM, spec, "common", times, 4096, seed=3, workers=1)
         many = average_rtn_mc(HAM, spec, "common", times, 4096, seed=3, workers=8)
         assert np.array_equal(one, many)
+
+    def test_memory_stays_bounded_at_large_gamma_t(self):
+        # gamma T = 1e4 gives 10508 waits per trajectory: a chunk drawn whole
+        # would hold 256 x 10508 doubles (21.5 MB) per array
+        spec = TelegraphSpec(gamma=500.0)
+        times = np.linspace(0.0, 20.0, 11)
+        for topo in TOPOLOGIES:
+            tracemalloc.start()
+            try:
+                average_rtn_mc(HAM, spec, topo, times, 300, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, (topo, peak)
+
+
+class TestWorkerPool:
+    """The pool never outnumbers the chunks or the usable CPUs."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            # stands in for ProcessPoolExecutor and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evolve, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(evolve.os, "cpu_count", lambda: 3)
+        return sizes
+
+    def test_pool_size_is_capped(self, pools):
+        spec = TelegraphSpec(gamma=0.5)
+        times = np.linspace(0.0, 2.0, 3)
+        chunks = 5
+        serial = average_rtn_mc(HAM, spec, "separate", times, chunks * 256, seed=6)
+        for workers, expected in ((100_000, 3), (2, 2)):
+            pooled = average_rtn_mc(HAM, spec, "separate", times, chunks * 256, 6, workers)
+            assert pools[-1] == expected
+            assert np.array_equal(pooled, serial)
+        pools.clear()
+        average_static_mc(HAM, STATIC, "common", times, 2 * 256, seed=6, workers=100_000)
+        assert pools == [2]
+
+    def test_single_chunk_runs_without_a_pool(self, pools):
+        average_static_mc(HAM, STATIC, "common", 1.0, 256, seed=6, workers=100_000)
+        average_rtn_mc(HAM, TelegraphSpec(gamma=0.5), "common", 1.0, 100, seed=6, workers=8)
+        assert pools == []
+
+
+class TestMonteCarloProperties:
+    """Exact properties of every Monte Carlo estimate, whatever the draws."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(0.05, 20.0),
+        nu=st.floats(0.1, 3.0),
+        t_max=st.floats(0.1, 20.0),
+        topology=st.sampled_from(TOPOLOGIES),
+        seed=st.integers(0, 2**32 - 1),
+        n_traj=st.integers(1, 600),
+    )
+    def test_telegraph_z_is_real_bounded_and_one_at_zero(
+        self, gamma, nu, t_max, topology, seed, n_traj
+    ):
+        times = np.linspace(0.0, t_max, 6)
+        states = average_rtn_mc(
+            HamiltonianSpec(nu=nu), TelegraphSpec(gamma=gamma), topology, times, n_traj, seed
+        )
+        z = np.array([dephasing_scalar_of(s) for s in states])
+        assert z[0] == 1.0
+        assert np.all(z.imag == 0.0)
+        assert np.all(np.abs(z) <= 1.0 + 1e-12)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        c0=st.floats(-2.0, 2.0),
+        delta_c=st.floats(0.05, 2.0),
+        nu=st.floats(0.1, 3.0),
+        t_max=st.floats(0.1, 20.0),
+        topology=st.sampled_from(TOPOLOGIES),
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(1, 600),
+    )
+    def test_static_z_is_bounded_and_one_at_zero(
+        self, c0, delta_c, nu, t_max, topology, seed, n_samples
+    ):
+        times = np.linspace(0.0, t_max, 6)
+        states = average_static_mc(
+            HamiltonianSpec(nu=nu), StaticNoiseSpec(c0, delta_c), topology, times, n_samples, seed
+        )
+        z = np.array([dephasing_scalar_of(s) for s in states])
+        assert z[0] == 1.0
+        assert np.all(np.abs(z) <= 1.0 + 1e-12)
 
 
 class TestTimeGrids:

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from bellnoise import noise
 from bellnoise.noise import (
     StaticNoiseSpec,
     TelegraphSpec,
     TelegraphTrajectory,
+    accumulate_block_phases,
     accumulate_phase,
     accumulate_phases,
     bessel_i0,
     bessel_i1,
     decay_factor,
     sample_static,
+    sample_telegraph_block,
     sample_telegraph_trajectory,
     substream,
     telegraph_autocorrelation,
@@ -159,6 +162,97 @@ class TestPhaseAccumulation:
             values[i] = np.exp(1j * accumulate_phase(trajectory, nu, t))
         spread = values.std() / math.sqrt(n)
         assert abs(values.mean() - decay_factor(nu, spec.gamma, t)) <= 3.0 * spread + 1e-12
+
+
+def row_trajectory(block, row):
+    """Row ``row`` of a telegraph block as a scalar-sampler trajectory."""
+    flips = block.flips[row]
+    return TelegraphTrajectory(int(block.initial[row]), flips[flips < block.horizon], block.horizon)
+
+
+class TestTelegraphBlock:
+    def test_rows_are_sorted_and_clipped_at_the_horizon(self):
+        block = sample_telegraph_block(TelegraphSpec(gamma=0.7), 6.0, 500, substream(41, 0))
+        assert block.flips.shape[0] == 500 and block.initial.shape == (500,)
+        assert set(np.unique(block.initial)) == {-1.0, 1.0}
+        assert np.all(np.diff(block.flips, axis=1) >= 0.0)
+        assert np.all((block.flips > 0.0) & (block.flips <= 6.0))
+        counts = np.count_nonzero(block.flips < 6.0, axis=1)
+        # padded to the largest flip count, and no wider
+        assert block.flips.shape[1] == counts.max()
+        assert np.any(counts < counts.max())
+
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_flip_counts_and_signs_match_the_scalar_sampler(self, monkeypatch, width):
+        # width 2 forces the path that appends blocks until every row passes
+        # the horizon
+        if width is not None:
+            monkeypatch.setattr(noise, "telegraph_block_width", lambda spec, horizon: width)
+        spec = TelegraphSpec(gamma=2.5)
+        horizon, n = 2.0, 20_000
+        block = sample_telegraph_block(spec, horizon, n, substream(7, 1))
+        counts = np.count_nonzero(block.flips < horizon, axis=1)
+        lam = spec.gamma * horizon
+        assert abs(counts.mean() - lam) <= 3.0 * math.sqrt(lam / n)
+        # Poisson: the variance equals the mean (the variance estimator's
+        # standard error is about sqrt((2 lam^2 + lam) / n))
+        assert abs(counts.var() - lam) <= 3.0 * math.sqrt((2.0 * lam * lam + lam) / n)
+        assert abs(block.initial.mean()) <= 3.0 / math.sqrt(n)
+
+    def test_seeding_contract_reproducible(self):
+        spec = TelegraphSpec(gamma=3.0)
+        first = sample_telegraph_block(spec, 5.0, 16, substream(42, 9))
+        second = sample_telegraph_block(spec, 5.0, 16, substream(42, 9))
+        assert np.array_equal(first.initial, second.initial)
+        assert np.array_equal(first.flips, second.flips)
+
+    def test_rejects_nonpositive_horizon(self):
+        with pytest.raises(ValueError):
+            sample_telegraph_block(TelegraphSpec(gamma=1.0), 0.0, 4, substream(0, 0))
+
+
+class TestBlockPhases:
+    """The block kernel against :func:`accumulate_phases` on the same flips."""
+
+    @pytest.mark.parametrize("gamma", [0.2, 5.0])
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_equals_scalar_accumulation_row_by_row(self, monkeypatch, gamma, width):
+        if width is not None:
+            monkeypatch.setattr(noise, "telegraph_block_width", lambda spec, horizon: width)
+        horizon, nu = 20.0, 1.0
+        block = sample_telegraph_block(TelegraphSpec(gamma=gamma), horizon, 64, substream(5, 0))
+        # some rows end in padding: their clipped entries must add nothing
+        assert np.any(block.flips == horizon)
+        grid = np.linspace(0.0, horizon, 11)
+        # the common-environment windows come unsorted: t/2, T - t/2, then T
+        windows = np.concatenate([0.5 * grid, horizon - 0.5 * grid, [horizon]])
+        real_flips = block.flips[block.flips < horizon]
+        queries = np.concatenate([windows, [0.0, horizon], real_flips[:20], real_flips[-5:]])
+        phases = accumulate_block_phases(block, nu, queries)
+        assert phases.shape == (64, queries.size)
+        for row in range(64):
+            expected = accumulate_phases(row_trajectory(block, row), nu, queries)
+            assert np.max(np.abs(phases[row] - expected)) <= 1e-12, row
+
+    def test_queries_at_a_rows_own_flips(self):
+        horizon = 3.0
+        block = sample_telegraph_block(TelegraphSpec(gamma=4.0), horizon, 8, substream(9, 0))
+        for row in range(8):
+            trajectory = row_trajectory(block, row)
+            queries = trajectory.flip_times[::-1]
+            expected = accumulate_phases(trajectory, 1.3, queries)
+            got = accumulate_block_phases(block, 1.3, queries)[row]
+            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12, row
+
+    def test_flip_free_rows_and_an_empty_block(self):
+        block = noise.TelegraphBlock(np.array([1.0, -1.0]), np.empty((2, 0)), 4.0)
+        phases = accumulate_block_phases(block, 0.5, np.array([4.0, 0.0, 1.0]))
+        assert np.array_equal(phases, [[-2.0, 0.0, -0.5], [2.0, 0.0, 0.5]])
+
+    def test_beyond_horizon_rejected(self):
+        block = sample_telegraph_block(TelegraphSpec(gamma=1.0), 1.0, 4, substream(0, 0))
+        with pytest.raises(ValueError, match="within"):
+            accumulate_block_phases(block, 1.0, np.array([0.5, 1.5]))
 
 
 class TestDecayFactor:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bellnoise import cli
 from bellnoise.noise import TelegraphSpec, decay_factor
 from bellnoise.scenarios import (
     Curve,
@@ -74,6 +75,8 @@ class TestConfigValidation:
             (dict(delta_c=math.inf), "delta_c must be finite"),
             (dict(t_max=math.inf), "t_max must be finite"),
             (dict(threshold=math.nan), "threshold must be finite"),
+            (dict(quad_nodes=1), "quad_nodes must be 2 to 1024"),
+            (dict(quad_nodes=1025), "quad_nodes must be 2 to 1024"),
         ],
     )
     def test_rejects_bad_rtn_fields(self, overrides, message):
@@ -419,6 +422,20 @@ class TestCli:
         numeric, _ = parse_csv(auto.stdout)
         assert numeric["nt"][-1] == 100.0
         assert abs(numeric["negativity"][-1] - abs(math.sin(200.0) / 200.0)) <= 1e-9
+
+    def test_node_count_above_the_cap_exits_before_any_quadrature(self, monkeypatch, capsys):
+        # leggauss builds a dense n x n matrix: 100000 nodes would ask for 80 GB
+        def refuse(n):
+            raise AssertionError(f"leggauss called with {n} nodes")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        static = ["--noise", "static", "--c0", "1", "--delta-c", "1", "--points", "3"]
+        for command in (
+            ["simulate", "--method", "quadrature"],
+            ["compare", "--method", "quadrature,closed_form"],
+        ):
+            assert cli.main(command + static + ["--nodes", "100000"]) == 1
+            assert "quad_nodes must be 2 to 1024, got 100000" in capsys.readouterr().err
 
     def test_non_finite_parameters_exit_with_usage_code(self):
         rtn = ("--noise", "rtn", "--t-max", "1.0")
