@@ -39,17 +39,14 @@ from .linalg import (
 from .noise import (
     PhaseDensity,
     StaticNoiseSpec,
-    TelegraphBlock,
     TelegraphSpec,
     TelegraphTrajectory,
-    accumulate_block_phases,
     accumulate_phase,
     accumulate_phases,
     bessel_i0,
     bessel_i1,
     decay_factor,
     sample_static,
-    sample_telegraph_block,
     sample_telegraph_trajectory,
     substream,
     telegraph_autocorrelation,

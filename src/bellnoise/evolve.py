@@ -25,17 +25,18 @@ import numpy as np
 
 from .errors import NumericalError
 from .noise import (
+    _telegraph_block_width,
     accumulate_block_phases,
     decay_factor,
+    sample_static,
     sample_telegraph_block,
     substream,
-    telegraph_block_width,
 )
 
-# The scalar samplers stay importable from this module: they are the
-# reference the block kernels are tested against, and the benchmark's
-# tracer wraps them here.
-from .noise import accumulate_phases, sample_static, sample_telegraph_trajectory  # noqa: F401
+# The scalar telegraph sampler and integrator stay importable from this
+# module: they are the reference the block kernels are tested against, and
+# the benchmark's tracer wraps them here.
+from .noise import accumulate_phases, sample_telegraph_trajectory  # noqa: F401
 
 TOPOLOGIES = ("separate", "common")
 
@@ -186,8 +187,8 @@ def _static_chunk(args):
     ham, noise, topology, times, seed, n_samples, start, stop = args
     rows, rate = (2, 2.0) if topology == "separate" else (1, 4.0)
     rng = substream(seed, start)
-    fraction = (np.arange(start, stop) + rng.random((rows, stop - start))) / n_samples
-    offsets = (noise.low + (noise.high - noise.low) * fraction) - noise.c0
+    strata = np.broadcast_to(np.arange(start, stop), (rows, stop - start))
+    offsets = sample_static(noise, rng, strata, n_samples) - noise.c0
     rate_times = rate * ham.nu * times
     acc = np.empty((rows, times.size))
     span = max(1, _BLOCK_ELEMENTS // offsets.size)
@@ -216,7 +217,7 @@ def _rtn_chunk(args):
         queries = times
     else:
         queries = np.concatenate([0.5 * times, horizon - 0.5 * times, [horizon]])
-    widest = max(telegraph_block_width(rtn, horizon), queries.size)
+    widest = max(_telegraph_block_width(rtn, horizon), queries.size)
     per_block = max(1, _BLOCK_ELEMENTS // widest)
     rng = substream(seed, start)
     for row in range(2 if separate else 1):

@@ -90,14 +90,16 @@ def substream(seed, index):
 
 
 def sample_static(spec, rng, stratum=0, strata=1):
-    """Draw one static coupling value from the flat distribution.
+    """Draw static coupling values from the flat distribution.
 
     With ``strata > 1`` the draw is uniform on slice ``stratum`` of ``strata``
     equal slices of the support, so one draw from each slice is a stratified
-    sample of the whole distribution.
+    sample of the whole distribution.  An array of strata draws one value per
+    entry, in one call to ``rng``; a scalar stratum returns a float.
     """
-    fraction = (stratum + rng.random()) / strata
-    return float(spec.low + (spec.high - spec.low) * fraction)
+    fraction = (stratum + rng.random(np.shape(stratum))) / strata
+    value = spec.low + (spec.high - spec.low) * fraction
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def sample_telegraph_trajectory(spec, horizon, rng):
@@ -111,7 +113,7 @@ def sample_telegraph_trajectory(spec, horizon, rng):
     return TelegraphTrajectory(int(block.initial[0]), block.flips[0], block.horizon)
 
 
-def telegraph_block_width(spec, horizon):
+def _telegraph_block_width(spec, horizon):
     """Waiting times drawn per trajectory at a time: the mean flip count plus five sigma."""
     mean_flips = spec.gamma * horizon
     return max(8, int(mean_flips + 5.0 * math.sqrt(mean_flips) + 8.0))
@@ -129,7 +131,7 @@ def sample_telegraph_block(spec, horizon, rows, rng):
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     initial = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
-    width = telegraph_block_width(spec, horizon)
+    width = _telegraph_block_width(spec, horizon)
     scale = 1.0 / spec.gamma
     times = np.cumsum(rng.exponential(scale, size=(rows, width)), axis=1)
     while rows and times[:, -1].min() < horizon:
@@ -182,10 +184,15 @@ def accumulate_block_phases(block, nu, times):
     bounds = np.concatenate([np.zeros((rows, 1)), block.flips], axis=1)
     steps = np.cumsum(segment_values[:, :k] * np.diff(bounds, axis=1), axis=1)
     integral_at_flip = np.concatenate([np.zeros((rows, 1)), steps], axis=1)
-    # Flips at or before each time, one time at a time: a (rows, k) pass each.
-    idx = np.empty((rows, times.size), dtype=np.intp)
-    for j, t in enumerate(times):
-        idx[:, j] = np.count_nonzero(block.flips <= t, axis=1)
+    # Flips at or before each time, counted exactly in integers: bin every
+    # flip by the first sorted time at or after it, then cumulate the bins.
+    n = times.size
+    order = np.argsort(times, kind="stable")
+    first_after = np.searchsorted(times[order], block.flips, side="left")
+    bins = (np.arange(rows)[:, None] * (n + 1) + first_after).ravel()
+    counts = np.bincount(bins, minlength=rows * (n + 1)).reshape(rows, n + 1)
+    idx = np.empty((rows, n), dtype=np.intp)
+    idx[:, order] = np.cumsum(counts[:, :n], axis=1)
     value, integral, since = (
         np.take_along_axis(a, idx, axis=1) for a in (segment_values, integral_at_flip, bounds)
     )

@@ -62,6 +62,17 @@ class TestStaticSampler:
             centre = spec.low + (stratum + 0.5) * width
             assert abs(draws.mean() - centre) <= 3.0 * width / math.sqrt(12.0 * 1000)
 
+    def test_array_of_strata_draws_what_scalar_calls_draw(self):
+        # one block draw consumes the generator as one scalar call per entry
+        spec = StaticNoiseSpec(c0=0.6, delta_c=1.4)
+        strata = np.broadcast_to(np.arange(5, 13), (2, 8))
+        block = sample_static(spec, substream(103, 0), strata, 20)
+        rng = substream(103, 0)
+        scalar = [[sample_static(spec, rng, s, 20) for s in row] for row in strata]
+        assert block.shape == (2, 8)
+        assert np.max(np.abs(block - np.array(scalar))) <= 1e-15
+        assert isinstance(sample_static(spec, rng), float)
+
 
 class TestTelegraphSampler:
     def test_flip_count_is_poisson_mean(self):
@@ -187,7 +198,7 @@ class TestTelegraphBlock:
         # width 2 forces the path that appends blocks until every row passes
         # the horizon
         if width is not None:
-            monkeypatch.setattr(noise, "telegraph_block_width", lambda spec, horizon: width)
+            monkeypatch.setattr(noise, "_telegraph_block_width", lambda spec, horizon: width)
         spec = TelegraphSpec(gamma=2.5)
         horizon, n = 2.0, 20_000
         block = sample_telegraph_block(spec, horizon, n, substream(7, 1))
@@ -218,7 +229,7 @@ class TestBlockPhases:
     @pytest.mark.parametrize("width", [None, 3])
     def test_equals_scalar_accumulation_row_by_row(self, monkeypatch, gamma, width):
         if width is not None:
-            monkeypatch.setattr(noise, "telegraph_block_width", lambda spec, horizon: width)
+            monkeypatch.setattr(noise, "_telegraph_block_width", lambda spec, horizon: width)
         horizon, nu = 20.0, 1.0
         block = sample_telegraph_block(TelegraphSpec(gamma=gamma), horizon, 64, substream(5, 0))
         # some rows end in padding: their clipped entries must add nothing
