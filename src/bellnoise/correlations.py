@@ -5,12 +5,19 @@ Neumann entropies, and classical correlations from a maximisation over
 projective measurements on qubit B (coarse angular grid followed by a
 derivative-free pattern search).  Discord is total minus classical.
 
+The conditional states of the search are linear in the direction: measuring
+``(I +- n.sigma)/2`` on B leaves A in ``rho_A / 2 +- sum_mu n_mu R_mu`` (before
+normalising), with ``R_mu = Tr_B[rho (I x sigma_mu)] / 2``.  Each state's
+three blocks ``R_mu`` are built once, and every direction of the grid costs
+one row of a matrix product.
+
 Closed-form companions for the dephased-Bell family produced by the evolver
 are included so every numeric path has an independent cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +26,9 @@ import numpy as np
 from .errors import NumericalError
 from .evolve import check_topology, sinc
 from .linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     eigvals_hermitian,
     eigvals_two_level,
     partial_trace,
@@ -27,6 +37,8 @@ from .linalg import (
     vn_entropy,
 )
 from .noise import decay_factor
+
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass(frozen=True)
@@ -99,24 +111,18 @@ def conditional_entropy(rho, directions):
     tensor = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     directions = np.asarray(directions, dtype=float)
     batch_shape = directions.shape[:-1]
-    n = directions.reshape(-1, 3)
-    nx, ny, nz = n[:, 0], n[:, 1], n[:, 2]
-    # Projectors (I +- n.sigma)/2 stacked as (batch, outcome, 2, 2), each
-    # built directly from +-n so negating a direction exactly swaps outcomes.
-    projectors = np.empty((n.shape[0], 2, 2, 2), dtype=complex)
-    for outcome, sign in ((0, 1.0), (1, -1.0)):
-        projectors[:, outcome, 0, 0] = 0.5 + sign * 0.5 * nz
-        projectors[:, outcome, 0, 1] = sign * 0.5 * (nx - 1j * ny)
-        projectors[:, outcome, 1, 0] = sign * 0.5 * (nx + 1j * ny)
-        projectors[:, outcome, 1, 1] = 0.5 - sign * 0.5 * nz
-    # Unnormalised conditional A-states Tr_B[rho (I x P_k)].
-    conditional = np.einsum("iajb,nkba->nkij", tensor, projectors)
-    probabilities = np.real(conditional[:, :, 0, 0] + conditional[:, :, 1, 1])
-    low, high = eigvals_two_level(
-        np.real(conditional[:, :, 0, 0]),
-        np.real(conditional[:, :, 1, 1]),
-        conditional[:, :, 0, 1],
-    )
+    # Unnormalised conditional A-states Tr_B[rho (I x P_+-)] = base +- delta,
+    # flattened 2x2 blocks stacked as (batch, outcome, 4): base = rho_A / 2
+    # and delta = n @ R with R_mu = Tr_B[rho (I x sigma_mu)] / 2.  delta is
+    # odd in n, so negating a direction swaps the two outcomes bit for bit.
+    base = 0.5 * np.einsum("iaja->ij", tensor).reshape(4)
+    blocks = 0.5 * np.einsum("iajb,mba->mij", tensor, _PAULIS).reshape(3, 4)
+    delta = directions.reshape(-1, 3) @ blocks
+    conditional = np.stack([base + delta, base - delta], axis=1)
+    diag_first = np.real(conditional[..., 0])
+    diag_second = np.real(conditional[..., 3])
+    probabilities = diag_first + diag_second
+    low, high = eigvals_two_level(diag_first, diag_second, conditional[..., 1])
     relevant = probabilities > 1e-14
     safe_p = np.where(relevant, probabilities, 1.0)
     spectra = np.stack([low, high], axis=-1) / safe_p[..., None]
@@ -124,6 +130,18 @@ def conditional_entropy(rho, directions):
     outcome_entropy = -np.sum(_xlog2x(spectra), axis=-1)
     total = np.sum(np.where(relevant, probabilities * outcome_entropy, 0.0), axis=-1)
     return total.reshape(batch_shape) if batch_shape else float(total[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _measurement_grid(theta_points, phi_points):
+    """Read-only ``(theta, phi, directions)`` arrays of the coarse search grid."""
+    thetas = np.linspace(0.0, math.pi, theta_points)
+    phis = np.arange(phi_points) * (2.0 * math.pi / phi_points)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    grid = (tt, pp, bloch_direction(tt, pp))
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
 def classical_correlations(rho, settings=None):
@@ -137,10 +155,8 @@ def classical_correlations(rho, settings=None):
     cfg = settings or OptimizerSettings()
     entropy_a = vn_entropy(partial_trace(rho, "A"))
 
-    thetas = np.linspace(0.0, math.pi, cfg.theta_points)
-    phis = np.arange(cfg.phi_points) * (2.0 * math.pi / cfg.phi_points)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    values = entropy_a - conditional_entropy(rho, bloch_direction(tt, pp))
+    tt, pp, directions = _measurement_grid(cfg.theta_points, cfg.phi_points)
+    values = entropy_a - conditional_entropy(rho, directions)
     best = np.unravel_index(int(np.argmax(values)), values.shape)
     theta, phi_az = float(tt[best]), float(pp[best])
     value = float(values[best])
@@ -177,18 +193,24 @@ def classical_correlations(rho, settings=None):
 _DISCORD_FLOOR = -1e-6
 
 
+def _checked_discord(total, classical):
+    """Raw ``total - classical``; raises :class:`NumericalError` below the floor."""
+    raw = total - classical
+    if raw < _DISCORD_FLOOR:
+        raise NumericalError(
+            f"discord {raw:.3e} is below the {-_DISCORD_FLOOR:g} floor; "
+            "the optimizer or the input state is broken"
+        )
+    return raw
+
+
 def discord(rho, settings=None):
     """Quantum discord: mutual information minus classical correlations.
 
     Values in ``[-1e-6, 0]`` (optimizer noise) clamp to zero; anything more
     negative signals a bug and raises :class:`NumericalError`.
     """
-    raw = mutual_information(rho) - classical_correlations(rho, settings).value
-    if raw < _DISCORD_FLOOR:
-        raise NumericalError(
-            f"discord {raw:.3e} is below the {-_DISCORD_FLOOR:g} floor; "
-            "the optimizer or the input state is broken"
-        )
+    raw = _checked_discord(mutual_information(rho), classical_correlations(rho, settings).value)
     return max(raw, 0.0)
 
 
@@ -200,17 +222,11 @@ def measure_correlations(rho, settings=None):
     """
     total = mutual_information(rho)
     classical = classical_correlations(rho, settings).value
-    raw = total - classical
-    if raw < _DISCORD_FLOOR:
-        raise NumericalError(
-            f"discord {raw:.3e} is below the {-_DISCORD_FLOOR:g} floor; "
-            "the optimizer or the input state is broken"
-        )
     return CorrelationReport(
         negativity=negativity(rho),
         mutual_info=total,
         classical=classical,
-        discord=raw,
+        discord=_checked_discord(total, classical),
     )
 
 

@@ -80,7 +80,9 @@ def sinc(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-8
     safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    # the series sees only the small entries: x * x overflows beyond ~1e154
+    tiny = np.where(small, x, 0.0)
+    out = np.where(small, 1.0 - tiny * tiny / 6.0, np.sin(safe) / safe)
     return float(out) if out.ndim == 0 else out
 
 
@@ -168,7 +170,7 @@ def average_static_quadrature(ham, noise, topology, t, nodes=None):
         raise NumericalError(
             f"{nodes}-node quadrature cannot resolve {oscillation:.6g} rad of oscillation "
             f"({topology} environments, delta_c nu t = {spread:.6g}); "
-            f"needs nodes >= {needed}"
+            f"needs nodes >= {needed:.6g}"
         )
     x, w = np.polynomial.legendre.leggauss(int(nodes))
     couplings = noise.c0 + 0.5 * noise.delta_c * x

@@ -220,18 +220,23 @@ def decay_factor(coupling, gamma, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")
+    # The discriminant sqrt|gamma^2 - coupling^2| is taken as a product of
+    # square roots, since squaring either rate overflows beyond ~1e154.
     if abs(gamma - coupling) <= 1e-9 * gamma:
         out = np.exp(-gamma * t) * (1.0 + gamma * t)
     elif gamma > coupling:
-        delta = math.sqrt(gamma * gamma - coupling * coupling)
+        delta = math.sqrt(gamma - coupling) * math.sqrt(gamma + coupling)
         # exp(-gamma t) cosh/sinh combined into pure exponentials: no overflow
-        # at large t, and the slow mode dominates without cancellation.
+        # at large t, and the slow mode dominates without cancellation.  The
+        # slow rate gamma - delta equals coupling^2 / (gamma + delta), a form
+        # that keeps its precision when gamma >> coupling.
+        slow = coupling * (coupling / (gamma + delta))
         out = 0.5 * (
-            (1.0 + gamma / delta) * np.exp(-(gamma - delta) * t)
+            (1.0 + gamma / delta) * np.exp(-slow * t)
             + (1.0 - gamma / delta) * np.exp(-(gamma + delta) * t)
         )
     else:
-        delta = math.sqrt(coupling * coupling - gamma * gamma)
+        delta = math.sqrt(coupling - gamma) * math.sqrt(coupling + gamma)
         out = np.exp(-gamma * t) * (np.cos(delta * t) + (gamma / delta) * np.sin(delta * t))
     return float(out) if out.ndim == 0 else out
 

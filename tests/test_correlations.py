@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bellnoise import correlations
 from bellnoise.correlations import (
+    MeasurementOptimum,
     OptimizerSettings,
+    _measurement_grid,
     classical_correlations,
     conditional_entropy,
     dephased_bell_discord,
@@ -27,6 +30,7 @@ from bellnoise.noise import StaticNoiseSpec, TelegraphSpec, decay_factor
 
 from conftest import (
     bell_projector,
+    partial_trace_reference,
     partial_transpose_reference,
     random_density,
     random_unitary,
@@ -150,6 +154,67 @@ class TestClassicalCorrelations:
             classical_correlations(dephased_bell_state(0.5), settings)
 
 
+def conditional_entropy_reference(rho, direction):
+    """Textbook form: explicit projectors (I +- n.sigma)/2 on B, one at a time."""
+    pauli = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    n_sigma = sum(component * matrix for component, matrix in zip(direction, pauli))
+    total = 0.0
+    for sign in (1.0, -1.0):
+        projector = 0.5 * (np.eye(2) + sign * n_sigma)
+        conditional = partial_trace_reference(rho @ np.kron(np.eye(2), projector), "A")
+        p = conditional.trace().real
+        if p <= 1e-14:
+            continue
+        spectrum = np.clip(np.linalg.eigvalsh(conditional / p), 0.0, 1.0)
+        spectrum = spectrum[spectrum > 0.0]
+        total += p * float(-np.sum(spectrum * np.log2(spectrum)))
+    return total
+
+
+class TestConditionalEntropyOracle:
+    """The Pauli-block kernel against explicit projectors, direction by direction."""
+
+    @staticmethod
+    def _directions(rng):
+        random = rng.normal(size=(8, 3))
+        random /= np.linalg.norm(random, axis=1, keepdims=True)
+        phis = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+        equator = np.stack([np.cos(phis), np.sin(phis), np.zeros_like(phis)], axis=1)
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        return np.concatenate([random, -random[:3], equator, poles])
+
+    def test_matches_explicit_projectors(self, rng):
+        states = [random_density(rng) for _ in range(18)]
+        states += [bell_projector(), dephased_bell_state(0.6 * np.exp(0.4j))]
+        for rho in states:
+            directions = self._directions(rng)
+            kernel = conditional_entropy(rho, directions)
+            reference = [conditional_entropy_reference(rho, n) for n in directions]
+            assert np.max(np.abs(kernel - reference)) <= 1e-13
+            # one direction at a time returns a float of the same value
+            single = conditional_entropy(rho, directions[0])
+            assert isinstance(single, float)
+            assert abs(single - reference[0]) <= 1e-13
+
+    def test_antipodal_grid_is_exact(self, rng):
+        _, _, directions = _measurement_grid(64, 128)
+        for rho in (random_density(rng), dephased_bell_state(0.3 - 0.2j)):
+            assert np.array_equal(
+                conditional_entropy(rho, directions), conditional_entropy(rho, -directions)
+            )
+
+    def test_cached_grid_is_read_only(self):
+        grid = _measurement_grid(64, 128)
+        assert _measurement_grid(64, 128) is grid
+        assert grid[2].shape == (64, 128, 3)
+        for array in grid:
+            assert not array.flags.writeable
+
+
 class TestDiscord:
     def test_bell_state_one_bit(self):
         assert discord(bell_projector()) == pytest.approx(1.0, abs=1e-9)
@@ -174,6 +239,33 @@ class TestDiscord:
         q_real = discord(dephased_bell_state(0.6))
         q_rotated = discord(dephased_bell_state(0.6 * np.exp(1.1j)))
         assert abs(q_real - q_rotated) <= 1e-6
+
+
+class TestDiscordFloor:
+    """``discord`` and ``measure_correlations`` share one check of total - classical."""
+
+    @staticmethod
+    def _classical_above_total(monkeypatch, excess):
+        rho = dephased_bell_state(0.5)
+        total = mutual_information(rho)
+        monkeypatch.setattr(
+            correlations,
+            "classical_correlations",
+            lambda state, settings=None: MeasurementOptimum(total + excess, 0.0, 0.0),
+        )
+        return rho
+
+    def test_optimizer_noise_is_tolerated(self, monkeypatch):
+        rho = self._classical_above_total(monkeypatch, 5e-7)
+        assert discord(rho) == 0.0
+        assert -1e-6 < measure_correlations(rho).discord < 0.0
+
+    def test_below_floor_raises_from_both(self, monkeypatch):
+        rho = self._classical_above_total(monkeypatch, 2e-6)
+        with pytest.raises(NumericalError, match="below the 1e-06 floor"):
+            discord(rho)
+        with pytest.raises(NumericalError, match="below the 1e-06 floor"):
+            measure_correlations(rho)
 
 
 class TestClosedFormDiscord:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from bellnoise import noise
@@ -305,6 +307,54 @@ class TestDecayFactor:
             t = rng.uniform(0.0, 30.0, size=16)
             values = np.atleast_1d(decay_factor(coupling, gamma, np.sort(t)))
             assert np.all(np.abs(values) <= 1.0 + 1e-12)
+
+    def test_huge_rates_stay_finite(self):
+        # squaring either rate would overflow past ~1e154
+        t = np.linspace(0.0, 10.0, 11)
+        fast = decay_factor(2.0, 1e200, t)
+        assert fast[0] == 1.0
+        # motional narrowing: the slow rate coupling^2 / (2 gamma) is 2e-200
+        assert np.all(fast == 1.0)
+        slow = decay_factor(2e200, 1.0, t)
+        assert slow[0] == 1.0
+        assert np.all(np.abs(slow) <= np.exp(-t) * (1.0 + 1e-12))
+
+    def test_slow_rate_keeps_its_precision_at_fast_switching(self):
+        # gamma - delta cancels to a few digits at gamma / coupling = 5e7; the
+        # decay there is exp(-coupling^2 t / (gamma + delta)) to rounding
+        gamma = 1e8
+        t = np.array([1e6, 1e7])
+        expected = np.exp(-4.0 * t / (gamma + math.sqrt(gamma * gamma - 4.0)))
+        assert np.allclose(decay_factor(2.0, gamma, t), expected, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        log_gamma=st.floats(-3.0, 3.0),
+        side=st.sampled_from((-1.0, 1.0)),
+        scaled_t=st.floats(0.0, 60.0),
+    )
+    def test_continuous_across_the_branch_window(self, log_gamma, side, scaled_t):
+        # just inside and just outside |gamma - coupling| <= 1e-9 gamma the
+        # degenerate limit and a closed branch must agree
+        gamma = 10.0**log_gamma
+        t = scaled_t / gamma
+        inside = decay_factor(gamma * (1.0 + side * 0.99e-9), gamma, t)
+        outside = decay_factor(gamma * (1.0 + side * 1.01e-9), gamma, t)
+        assert abs(inside - outside) <= 1e-6
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_coupling=st.floats(-6.0, 200.0),
+        log_gamma=st.floats(-6.0, 200.0),
+        log_t=st.floats(-6.0, 8.0),
+    )
+    def test_bounded_out_to_large_times(self, log_coupling, log_gamma, log_t):
+        # near the branch window the hyperbolic coefficients reach
+        # gamma / delta ~ 2e4, so t = 0 rounds to 1 within ~1e-11
+        t = np.array([0.0, 10.0**log_t])
+        values = decay_factor(10.0**log_coupling, 10.0**log_gamma, t)
+        assert np.all(np.isfinite(values))
+        assert np.all(np.abs(values) <= 1.0 + 1e-10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -453,6 +453,31 @@ class TestCli:
             assert "must be finite" in result.stderr
             assert "Warning" not in result.stderr
 
+    def test_huge_rates_exit_cleanly(self):
+        # squaring a rate beyond ~1e154 overflows: neither the telegraph decay
+        # factor nor the static sinc may square one
+        for case in (
+            ("--noise", "rtn", "--gamma", "1", "--nu", "1e200"),
+            ("--noise", "rtn", "--gamma", "1e200"),
+            ("--noise", "static", "--c0", "1", "--delta-c", "1", "--nu", "1e300"),
+        ):
+            result = run_cli("simulate", "--method", "closed_form", "--points", "5", *case)
+            assert result.returncode == 0, (case, result.stderr)
+            assert "RuntimeWarning" not in result.stderr
+            numeric, _ = parse_csv(result.stdout)
+            assert numeric["negativity"][0] == 1.0
+            assert np.all(np.isfinite(numeric["negativity"]))
+
+    def test_unresolvable_quadrature_prints_a_short_node_count(self):
+        result = run_cli(
+            "simulate",
+            "--noise", "static", "--method", "quadrature",
+            "--c0", "1", "--delta-c", "1e200", "--points", "3",
+        )
+        assert result.returncode == 3
+        assert "needs nodes >= 1.42857e+201" in result.stderr
+        assert len(result.stderr) < 300
+
     def test_unwritable_output_path_exits_with_usage_code(self, tmp_path):
         result = run_cli(
             "simulate",
