@@ -9,7 +9,7 @@ The conditional states of the search are linear in the direction: measuring
 ``(I +- n.sigma)/2`` on B leaves A in ``rho_A / 2 +- sum_mu n_mu R_mu`` (before
 normalising), with ``R_mu = Tr_B[rho (I x sigma_mu)] / 2``.  Each state's
 three blocks ``R_mu`` are built once, and every direction of the grid costs
-one row of a matrix product.
+a three-term sum of them.
 
 Closed-form companions for the dephased-Bell family produced by the evolver
 are included so every numeric path has an independent cross-check.
@@ -101,6 +101,13 @@ def _xlog2x(p):
     return np.where(p > 0.0, p * np.log2(safe), 0.0)
 
 
+def _hermitian_parts(blocks):
+    """``(..., 2, 2)`` Hermitian blocks as ``(..., 4)`` reals: d1, d2, Re o, Im o."""
+    off = blocks[..., 0, 1]
+    return np.stack([blocks[..., 0, 0].real, blocks[..., 1, 1].real, off.real, off.imag],
+                    axis=-1)
+
+
 def conditional_entropy(rho, directions):
     """Average post-measurement entropy of qubit A for projective measurements
     of qubit B along ``directions`` (shape (..., 3) of unit vectors).
@@ -112,17 +119,23 @@ def conditional_entropy(rho, directions):
     directions = np.asarray(directions, dtype=float)
     batch_shape = directions.shape[:-1]
     # Unnormalised conditional A-states Tr_B[rho (I x P_+-)] = base +- delta,
-    # flattened 2x2 blocks stacked as (batch, outcome, 4): base = rho_A / 2
-    # and delta = n @ R with R_mu = Tr_B[rho (I x sigma_mu)] / 2.  delta is
-    # odd in n, so negating a direction swaps the two outcomes bit for bit.
-    base = 0.5 * np.einsum("iaja->ij", tensor).reshape(4)
-    blocks = 0.5 * np.einsum("iajb,mba->mij", tensor, _PAULIS).reshape(3, 4)
-    delta = directions.reshape(-1, 3) @ blocks
+    # stacked as (batch, outcome, 4): base = rho_A / 2 and delta = n . R with
+    # R_mu = Tr_B[rho (I x sigma_mu)] / 2.  Each block is Hermitian, so four
+    # reals hold it: both diagonal entries, then the upper off-diagonal's real
+    # and imaginary parts.  delta is odd in n, so negating a direction swaps
+    # the two outcomes bit for bit.  The three-term sum is written out: as a
+    # matrix product it goes to a threaded BLAS, whose threads make a call's
+    # time jitter by milliseconds on a loaded machine.
+    base = _hermitian_parts(0.5 * np.einsum("iaja->ij", tensor))
+    blocks = _hermitian_parts(0.5 * np.einsum("iajb,mba->mij", tensor, _PAULIS))
+    n = directions.reshape(-1, 3)
+    delta = n[:, 0, None] * blocks[0] + n[:, 1, None] * blocks[1] + n[:, 2, None] * blocks[2]
     conditional = np.stack([base + delta, base - delta], axis=1)
-    diag_first = np.real(conditional[..., 0])
-    diag_second = np.real(conditional[..., 3])
+    diag_first = conditional[..., 0]
+    diag_second = conditional[..., 1]
     probabilities = diag_first + diag_second
-    low, high = eigvals_two_level(diag_first, diag_second, conditional[..., 1])
+    off = np.hypot(conditional[..., 2], conditional[..., 3])
+    low, high = eigvals_two_level(diag_first, diag_second, off)
     relevant = probabilities > 1e-14
     safe_p = np.where(relevant, probabilities, 1.0)
     spectra = np.stack([low, high], axis=-1) / safe_p[..., None]

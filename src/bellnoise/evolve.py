@@ -16,6 +16,7 @@ global phase, so it never appears in any output.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -172,13 +173,25 @@ def average_static_quadrature(ham, noise, topology, t, nodes=None):
             f"({topology} environments, delta_c nu t = {spread:.6g}); "
             f"needs nodes >= {needed:.6g}"
         )
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
+    x, w = _legendre_rule(int(nodes))
     couplings = noise.c0 + 0.5 * noise.delta_c * x
     weights = 0.5 * w  # flat density times half-width: weights sum to 1
     rate = 2.0 if topology == "separate" else 4.0
     g = np.exp(-1j * rate * ham.nu * np.outer(times, couplings)) @ weights
     z = g * g if topology == "separate" else g
     return dephased_bell_state(z.reshape(shape))
+
+
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(nodes):
+    # Read-only Gauss-Legendre nodes and weights.  leggauss solves a dense
+    # eigenproblem, which numpy hands to a threaded LAPACK: once per count
+    # keeps its threads, and their start-up after every fork, out of the
+    # calls that follow.
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _static_chunk(args):
@@ -242,7 +255,10 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
     # in index order, so the result is bit-identical for any worker count.
     # Chunks return per-row sums, one row per independent factor of the
     # estimator; the result holds the row means.  The pool never outnumbers
-    # the chunks or the CPUs this process may run on.
+    # the chunks or the CPUs this process may run on.  Chunks cost the same,
+    # so each worker takes one contiguous batch of them: a task sent on its
+    # own costs a round trip through the pool's queues, about a millisecond
+    # with a jitter of as much, several times the work of a chunk.
     tasks = [
         payload + (start, min(start + _CHUNK, n_samples))
         for start in range(0, n_samples, _CHUNK)
@@ -251,8 +267,9 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
     if pool_size <= 1:
         partials = [chunk_fn(task) for task in tasks]
     else:
+        batch = math.ceil(len(tasks) / pool_size)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            partials = list(pool.map(chunk_fn, tasks))
+            partials = list(pool.map(chunk_fn, tasks, chunksize=batch))
     sums = np.sum(np.stack(partials, axis=0), axis=0)
     if np.iscomplexobj(sums):
         # numpy divides a complex array through the reciprocal of the divisor,

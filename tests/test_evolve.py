@@ -145,6 +145,19 @@ class TestQuadrature:
         single = np.sum(0.5 * w * np.exp(-2j * HAM.nu * c * t))
         assert abs(dephasing_scalar_of(rho) - single**2) <= 1e-12
 
+    def test_legendre_rule_is_built_once_per_node_count(self, monkeypatch):
+        real = np.polynomial.legendre.leggauss
+        calls = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n))
+        evolve._legendre_rule.cache_clear()
+        for t in (0.5, 1.0, 2.0):
+            average_static_quadrature(HAM, STATIC, "separate", t, nodes=77)
+        assert calls == [77]
+        x, w = evolve._legendre_rule(77)
+        assert not x.flags.writeable and not w.flags.writeable
+        x_ref, w_ref = real(77)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError):
             average_static_quadrature(HAM, STATIC, "separate", 1.0, nodes=1)
@@ -311,6 +324,8 @@ class TestWorkerPool:
 
         class RecordingPool:
             # stands in for ProcessPoolExecutor and starts no process
+            batches = []
+
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -320,7 +335,8 @@ class TestWorkerPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize=1):
+                self.batches.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(evolve, "ProcessPoolExecutor", RecordingPool)
@@ -340,6 +356,15 @@ class TestWorkerPool:
         pools.clear()
         average_static_mc(HAM, STATIC, "common", times, 2 * 256, seed=6, workers=100_000)
         assert pools == [2]
+
+    def test_each_worker_takes_one_batch_of_chunks(self, pools):
+        # a chunk sent on its own costs a round trip through the pool's queues
+        times = np.linspace(0.0, 2.0, 3)
+        serial = average_static_mc(HAM, STATIC, "separate", times, 5 * 256, seed=6)
+        for workers in (2, 3):
+            pooled = average_static_mc(HAM, STATIC, "separate", times, 5 * 256, 6, workers)
+            assert np.array_equal(pooled, serial)
+        assert evolve.ProcessPoolExecutor.batches == [3, 2]
 
     def test_single_chunk_runs_without_a_pool(self, pools):
         average_static_mc(HAM, STATIC, "common", 1.0, 256, seed=6, workers=100_000)
