@@ -8,8 +8,18 @@ derivative-free pattern search).  Discord is total minus classical.
 The conditional states of the search are linear in the direction: measuring
 ``(I +- n.sigma)/2`` on B leaves A in ``rho_A / 2 +- sum_mu n_mu R_mu`` (before
 normalising), with ``R_mu = Tr_B[rho (I x sigma_mu)] / 2``.  Each state's
-three blocks ``R_mu`` are built once, and every direction of the grid costs
-a three-term sum of them.
+three blocks ``R_mu`` are built once, and every direction costs a three-term
+sum of them.
+
+:func:`measure_correlations` scores one state or a whole ``(n, 4, 4)`` stack
+in one call.  Validation, the marginal spectra and the partial-transpose
+spectra each take one eigensolve over the stack.  The grid is scored one
+state at a time in slices of at most 2048 directions, so that no temporary
+outgrows the allocator's small-block range.  The pattern search then runs
+for all states in lockstep: each keeps its own angles, value and step, and
+leaves the search once its step falls below the floor.  Every state's
+arithmetic is the same as when it is scored alone, so the results do not
+depend on the stack they came in.
 
 Closed-form companions for the dephased-Bell family produced by the evolver
 are included so every numeric path has an independent cross-check.
@@ -23,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, SimulationError
 from .evolve import check_topology, sinc
 from .linalg import (
     PAULI_X,
@@ -31,6 +41,7 @@ from .linalg import (
     PAULI_Z,
     eigvals_hermitian,
     eigvals_two_level,
+    entropy_bits,
     partial_trace,
     partial_transpose_b,
     validate_state,
@@ -39,6 +50,10 @@ from .linalg import (
 from .noise import decay_factor
 
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+
+# Directions per slice of the grid: the largest temporary, the (2048, 2, 4)
+# conditional states, stays at 128 KiB.
+_GRID_SLICE = 2048
 
 
 @dataclass(frozen=True)
@@ -70,22 +85,28 @@ class CorrelationReport:
     discord: float
 
 
+def _negativities(states):
+    eigenvalues = eigvals_hermitian(partial_transpose_b(states))
+    return 2.0 * np.abs(np.sum(np.where(eigenvalues < 0.0, eigenvalues, 0.0), axis=-1))
+
+
+def _marginal_entropies(states):
+    """``(..., 2)`` entropies of the A and B marginals, from one eigensolve."""
+    return vn_entropy(np.stack([partial_trace(states, "A"), partial_trace(states, "B")], axis=-3))
+
+
 def negativity(rho):
     """Entanglement negativity: twice the absolute sum of negative eigenvalues
     of the partially transposed state."""
     validate_state(rho)
-    eigenvalues = eigvals_hermitian(partial_transpose_b(rho))
-    return float(2.0 * abs(eigenvalues[eigenvalues < 0.0].sum()))
+    return float(_negativities(rho))
 
 
 def mutual_information(rho):
     """Total correlations S(A) + S(B) - S(AB), in bits."""
-    validate_state(rho)
-    return (
-        vn_entropy(partial_trace(rho, "A"))
-        + vn_entropy(partial_trace(rho, "B"))
-        - vn_entropy(rho)
-    )
+    spectrum = validate_state(rho)
+    marginal = _marginal_entropies(rho)
+    return float(marginal[0] + marginal[1] - entropy_bits(spectrum))
 
 
 def bloch_direction(theta, phi_az):
@@ -108,29 +129,34 @@ def _hermitian_parts(blocks):
                     axis=-1)
 
 
-def conditional_entropy(rho, directions):
-    """Average post-measurement entropy of qubit A for projective measurements
-    of qubit B along ``directions`` (shape (..., 3) of unit vectors).
+def _measurement_parts(states):
+    """``(n, 4, 4)`` reals per state of a stack: ``rho_A / 2``, then ``R_x``,
+    ``R_y``, ``R_z``.
 
-    Outcomes with probability below 1e-14 contribute zero.  Exactly symmetric
-    under negating a direction, since that only relabels the two outcomes.
+    Each Hermitian block is held as four reals: both diagonal entries, then
+    the upper off-diagonal's real and imaginary parts.
     """
-    tensor = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    directions = np.asarray(directions, dtype=float)
-    batch_shape = directions.shape[:-1]
+    blocks = np.einsum("niajb,mba->nmij", states.reshape(-1, 2, 2, 2, 2), _PAULIS)
+    rho_a = partial_trace(states, "A")[:, None]
+    return _hermitian_parts(0.5 * np.concatenate([rho_a, blocks], axis=1))
+
+
+def _entropies_after(parts, n):
+    """Average post-measurement entropy of A for directions ``n`` (..., 3),
+    given measurement parts (..., 4, 4) that broadcast against them.
+
+    Outcomes with probability below 1e-14 contribute zero.
+    """
     # Unnormalised conditional A-states Tr_B[rho (I x P_+-)] = base +- delta,
-    # stacked as (batch, outcome, 4): base = rho_A / 2 and delta = n . R with
-    # R_mu = Tr_B[rho (I x sigma_mu)] / 2.  Each block is Hermitian, so four
-    # reals hold it: both diagonal entries, then the upper off-diagonal's real
-    # and imaginary parts.  delta is odd in n, so negating a direction swaps
-    # the two outcomes bit for bit.  The three-term sum is written out: as a
-    # matrix product it goes to a threaded BLAS, whose threads make a call's
-    # time jitter by milliseconds on a loaded machine.
-    base = _hermitian_parts(0.5 * np.einsum("iaja->ij", tensor))
-    blocks = _hermitian_parts(0.5 * np.einsum("iajb,mba->mij", tensor, _PAULIS))
-    n = directions.reshape(-1, 3)
-    delta = n[:, 0, None] * blocks[0] + n[:, 1, None] * blocks[1] + n[:, 2, None] * blocks[2]
-    conditional = np.stack([base + delta, base - delta], axis=1)
+    # stacked as (..., outcome, 4): base = rho_A / 2 and delta = n . R.
+    # delta is odd in n, so negating a direction swaps the two outcomes bit
+    # for bit.  The three-term sum is written out: as a matrix product it
+    # goes to a threaded BLAS, whose threads make a call's time jitter by
+    # milliseconds on a loaded machine.
+    base = parts[..., 0, :]
+    delta = (n[..., 0, None] * parts[..., 1, :] + n[..., 1, None] * parts[..., 2, :]
+             + n[..., 2, None] * parts[..., 3, :])
+    conditional = np.stack([base + delta, base - delta], axis=-2)
     diag_first = conditional[..., 0]
     diag_second = conditional[..., 1]
     probabilities = diag_first + diag_second
@@ -141,7 +167,29 @@ def conditional_entropy(rho, directions):
     spectra = np.stack([low, high], axis=-1) / safe_p[..., None]
     spectra = np.clip(spectra, 0.0, 1.0)
     outcome_entropy = -np.sum(_xlog2x(spectra), axis=-1)
-    total = np.sum(np.where(relevant, probabilities * outcome_entropy, 0.0), axis=-1)
+    return np.sum(np.where(relevant, probabilities * outcome_entropy, 0.0), axis=-1)
+
+
+def _sliced_entropies(parts, directions):
+    """:func:`_entropies_after` of one state for ``(m, 3)`` directions, a slice at a time."""
+    out = np.empty(len(directions))
+    for start in range(0, len(directions), _GRID_SLICE):
+        stop = start + _GRID_SLICE
+        out[start:stop] = _entropies_after(parts, directions[start:stop])
+    return out
+
+
+def conditional_entropy(rho, directions):
+    """Average post-measurement entropy of qubit A for projective measurements
+    of qubit B along ``directions`` (shape (..., 3) of unit vectors).
+
+    Outcomes with probability below 1e-14 contribute zero.  Exactly symmetric
+    under negating a direction, since that only relabels the two outcomes.
+    """
+    parts = _measurement_parts(np.asarray(rho, dtype=complex).reshape(1, 4, 4))[0]
+    directions = np.asarray(directions, dtype=float)
+    batch_shape = directions.shape[:-1]
+    total = _sliced_entropies(parts, directions.reshape(-1, 3))
     return total.reshape(batch_shape) if batch_shape else float(total[0])
 
 
@@ -157,6 +205,63 @@ def _measurement_grid(theta_points, phi_points):
     return grid
 
 
+def _search(parts, entropy_a, cfg):
+    """Maximise ``S(A) - S(A|B)`` over measurements for each of a stack of states.
+
+    ``parts`` are the states' measurement parts (:func:`_measurement_parts`)
+    and ``entropy_a`` their ``S(A)``.  Each state takes the best direction of
+    the coarse grid, then a pattern search that halves its step until it
+    drops below ``step_floor``; all states search in lockstep.  Returns the
+    ``(value, theta, phi_az)`` arrays.  Raises :class:`NumericalError`,
+    indexed by the first such state, if a state has not reached the step
+    floor within the iteration cap.
+    """
+    tt, pp, grid = _measurement_grid(cfg.theta_points, cfg.phi_points)
+    directions = grid.reshape(-1, 3)
+    count = len(entropy_a)
+    value, theta, phi_az = np.empty(count), np.empty(count), np.empty(count)
+    for i in range(count):
+        values = entropy_a[i] - _sliced_entropies(parts[i], directions)
+        best = int(np.argmax(values))
+        value[i], theta[i], phi_az[i] = values[best], tt.flat[best], pp.flat[best]
+
+    step = np.full(count, max(math.pi / (cfg.theta_points - 1), 2.0 * math.pi / cfg.phi_points))
+    active = np.arange(count)
+    for _ in range(cfg.max_iterations):
+        active = active[step[active] >= cfg.step_floor]
+        if not active.size:
+            break
+        t, p, s = theta[active], phi_az[active], step[active]
+        candidate_theta = np.stack(
+            [np.minimum(t + s, math.pi), np.maximum(t - s, 0.0), t, t], axis=-1
+        )
+        candidate_phi = np.stack(
+            [p, p, np.remainder(p + s, 2.0 * math.pi), np.remainder(p - s, 2.0 * math.pi)],
+            axis=-1,
+        )
+        trial = entropy_a[active, None] - _entropies_after(
+            parts[active, None], bloch_direction(candidate_theta, candidate_phi)
+        )
+        rows = np.arange(active.size)
+        pick = np.argmax(trial, axis=-1)
+        best = trial[rows, pick]
+        better = best > value[active]
+        moved = active[better]
+        value[moved] = best[better]
+        theta[moved] = candidate_theta[rows, pick][better]
+        phi_az[moved] = candidate_phi[rows, pick][better]
+        step[active[~better]] *= 0.5
+    else:
+        if active.size:
+            first = int(active[0])
+            raise NumericalError(
+                f"measurement optimisation did not reach step floor {cfg.step_floor:g} "
+                f"within {cfg.max_iterations} iterations (step {step[first]:.3e})",
+                index=first,
+            )
+    return value, theta, phi_az
+
+
 def classical_correlations(rho, settings=None):
     """Maximal classical correlations extracted by projective measurements on B.
 
@@ -165,56 +270,54 @@ def classical_correlations(rho, settings=None):
     if the step floor is not reached within the iteration cap.
     """
     validate_state(rho)
-    cfg = settings or OptimizerSettings()
-    entropy_a = vn_entropy(partial_trace(rho, "A"))
-
-    tt, pp, directions = _measurement_grid(cfg.theta_points, cfg.phi_points)
-    values = entropy_a - conditional_entropy(rho, directions)
-    best = np.unravel_index(int(np.argmax(values)), values.shape)
-    theta, phi_az = float(tt[best]), float(pp[best])
-    value = float(values[best])
-
-    step = max(math.pi / (cfg.theta_points - 1), 2.0 * math.pi / cfg.phi_points)
-    for _ in range(cfg.max_iterations):
-        if step < cfg.step_floor:
-            break
-        candidates = np.array(
-            [
-                [min(theta + step, math.pi), phi_az],
-                [max(theta - step, 0.0), phi_az],
-                [theta, (phi_az + step) % (2.0 * math.pi)],
-                [theta, (phi_az - step) % (2.0 * math.pi)],
-            ]
-        )
-        trial = entropy_a - conditional_entropy(
-            rho, bloch_direction(candidates[:, 0], candidates[:, 1])
-        )
-        pick = int(np.argmax(trial))
-        if trial[pick] > value:
-            value = float(trial[pick])
-            theta, phi_az = float(candidates[pick, 0]), float(candidates[pick, 1])
-        else:
-            step *= 0.5
-    else:
-        raise NumericalError(
-            f"measurement optimisation did not reach step floor {cfg.step_floor:g} "
-            f"within {cfg.max_iterations} iterations (step {step:.3e})"
-        )
-    return MeasurementOptimum(value=value, theta=theta, phi_az=phi_az)
+    states = np.asarray(rho, dtype=complex)[None]
+    value, theta, phi_az = _search(
+        _measurement_parts(states), vn_entropy(partial_trace(states, "A")),
+        settings or OptimizerSettings(),
+    )
+    return MeasurementOptimum(value=float(value[0]), theta=float(theta[0]),
+                              phi_az=float(phi_az[0]))
 
 
 _DISCORD_FLOOR = -1e-6
 
 
-def _checked_discord(total, classical):
-    """Raw ``total - classical``; raises :class:`NumericalError` below the floor."""
+def _score(states, cfg):
+    """``(negativity, mutual_info, classical, discord)`` arrays of a ``(n, 4, 4)`` stack.
+
+    Discord is the raw ``total - classical``; below the floor it raises
+    :class:`NumericalError`.
+    """
+    spectra = validate_state(states)
+    marginal = _marginal_entropies(states)
+    total = marginal[:, 0] + marginal[:, 1] - entropy_bits(spectra)
+    classical, _, _ = _search(_measurement_parts(states), marginal[:, 0], cfg)
+    negativities = _negativities(states)
     raw = total - classical
-    if raw < _DISCORD_FLOOR:
+    below = np.flatnonzero(raw < _DISCORD_FLOOR)
+    if below.size:
+        first = int(below[0])
         raise NumericalError(
-            f"discord {raw:.3e} is below the {-_DISCORD_FLOOR:g} floor; "
-            "the optimizer or the input state is broken"
+            f"discord {raw[first]:.3e} is below the {-_DISCORD_FLOOR:g} floor; "
+            "the optimizer or the input state is broken",
+            index=first,
         )
-    return raw
+    return negativities, total, classical, raw
+
+
+def _earliest_failure_score(states, cfg):
+    """:func:`_score`, but a failure names the first state that fails any check.
+
+    Each check runs over the whole stack in turn, so the first failure found
+    may lie after a state that fails a later check.  Scoring the states
+    before it again finds that one.
+    """
+    try:
+        return _score(states, cfg)
+    except SimulationError as exc:
+        if exc.index:
+            _earliest_failure_score(states[: exc.index], cfg)
+        raise
 
 
 def discord(rho, settings=None):
@@ -223,24 +326,26 @@ def discord(rho, settings=None):
     Values in ``[-1e-6, 0]`` (optimizer noise) clamp to zero; anything more
     negative signals a bug and raises :class:`NumericalError`.
     """
-    raw = _checked_discord(mutual_information(rho), classical_correlations(rho, settings).value)
-    return max(raw, 0.0)
+    return max(measure_correlations(rho, settings).discord, 0.0)
 
 
 def measure_correlations(rho, settings=None):
-    """All four measures of one state as a :class:`CorrelationReport`.
+    """All four measures of one state, or of each state of an ``(n, 4, 4)`` stack.
 
-    The report stores the raw total-minus-classical difference as discord
-    (it may be negative down to the 1e-6 optimizer floor).
+    Returns one :class:`CorrelationReport` for a ``(4, 4)`` state and a list
+    of ``n`` reports for a stack.  Each report equals, bit for bit, the one
+    its state gives alone.  The report stores the raw total-minus-classical
+    difference as discord (it may be negative down to the 1e-6 optimizer
+    floor).  A failure in a stack carries the position of the first failing
+    state as the exception's ``index``.
     """
-    total = mutual_information(rho)
-    classical = classical_correlations(rho, settings).value
-    return CorrelationReport(
-        negativity=negativity(rho),
-        mutual_info=total,
-        classical=classical,
-        discord=_checked_discord(total, classical),
+    states = np.asarray(rho, dtype=complex)
+    single = states.ndim == 2
+    columns = _earliest_failure_score(
+        states.reshape((-1,) + states.shape[-2:]), settings or OptimizerSettings()
     )
+    reports = [CorrelationReport(*row) for row in zip(*(column.tolist() for column in columns))]
+    return reports[0] if single else reports
 
 
 def dephased_bell_discord(mean_phase_factor):

@@ -2,7 +2,16 @@
 
 
 class SimulationError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.
+
+    When the input was a stack of states, ``index`` is the position of the
+    first state that failed (its position along the stack's first axis);
+    otherwise it is ``None``.
+    """
+
+    def __init__(self, *args, index=None):
+        super().__init__(*args)
+        self.index = index
 
 
 class InvalidStateError(SimulationError, ValueError):

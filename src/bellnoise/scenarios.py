@@ -18,7 +18,6 @@ import numpy as np
 
 from .correlations import (
     CorrelationReport,
-    OptimizerSettings,
     measure_correlations,
 )
 from .errors import SimulationError
@@ -95,6 +94,8 @@ class ScenarioConfig:
                 problems.append(f"static noise needs delta_c > 0, got {self.delta_c}")
         if self.method == "mc" and self.n_samples < 1:
             problems.append(f"mc needs n_samples >= 1, got {self.n_samples}")
+        if self.method == "mc" and self.seed < 0:
+            problems.append(f"mc needs seed >= 0, got {self.seed}")
         # checked whatever the method, so compare rejects it before any quadrature
         if self.quad_nodes is not None and not 2 <= self.quad_nodes <= MAX_NODES:
             problems.append(f"quad_nodes must be 2 to {MAX_NODES}, got {self.quad_nodes}")
@@ -183,19 +184,19 @@ def _provenance(cfg):
 def run_scenario(cfg, settings=None):
     """Run one scenario and return its :class:`Curve`.
 
-    Deterministic for a fixed config (including seed); numerical failures are
-    re-raised with the offending time point attached.
+    Deterministic for a fixed config (including seed).  The whole curve is
+    scored in one :func:`measure_correlations` call; a failure is re-raised
+    with the earliest failing time point attached.
     """
     cfg.validate()
     times = np.linspace(0.0, cfg.t_max, cfg.n_points)
     states = _states_for(cfg, times)
-    settings = settings or OptimizerSettings()
-    reports = []
-    for t, state in zip(times, states):
-        try:
-            reports.append(measure_correlations(state, settings))
-        except SimulationError as exc:
-            raise type(exc)(f"at nt={cfg.nu * t:.6g}: {exc}") from exc
+    try:
+        reports = measure_correlations(states, settings)
+    except SimulationError as exc:
+        if exc.index is None:
+            raise
+        raise type(exc)(f"at nt={cfg.nu * times[exc.index]:.6g}: {exc}") from exc
     return Curve(times=cfg.nu * times, reports=reports, provenance=_provenance(cfg))
 
 

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and have no per-example
+# time limit; each test sets its own max_examples.
+settings.register_profile("bellnoise", deadline=None, derandomize=True)
+settings.load_profile("bellnoise")
 
 
 @pytest.fixture

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellnoise import correlations
 from bellnoise.correlations import (
-    MeasurementOptimum,
+    CorrelationReport,
     OptimizerSettings,
     _measurement_grid,
     classical_correlations,
@@ -27,6 +28,7 @@ from bellnoise.evolve import (
 )
 from bellnoise.linalg import partial_trace, vn_entropy
 from bellnoise.noise import StaticNoiseSpec, TelegraphSpec, decay_factor
+from bellnoise.scenarios import PRESETS, _states_for, preset_config
 
 from conftest import (
     bell_projector,
@@ -246,13 +248,15 @@ class TestDiscordFloor:
 
     @staticmethod
     def _classical_above_total(monkeypatch, excess):
+        # the measurement search of every path reports `total + excess`
         rho = dephased_bell_state(0.5)
         total = mutual_information(rho)
-        monkeypatch.setattr(
-            correlations,
-            "classical_correlations",
-            lambda state, settings=None: MeasurementOptimum(total + excess, 0.0, 0.0),
-        )
+
+        def search(parts, entropy_a, settings):
+            count = len(entropy_a)
+            return np.full(count, total + excess), np.zeros(count), np.zeros(count)
+
+        monkeypatch.setattr(correlations, "_search", search)
         return rho
 
     def test_optimizer_noise_is_tolerated(self, monkeypatch):
@@ -266,6 +270,61 @@ class TestDiscordFloor:
             discord(rho)
         with pytest.raises(NumericalError, match="below the 1e-06 floor"):
             measure_correlations(rho)
+
+
+class TestStackScoring:
+    """A stack of states scores exactly as its states do one at a time."""
+
+    @staticmethod
+    def _assert_alone_equal(states):
+        reports = measure_correlations(states)
+        assert isinstance(reports, list) and len(reports) == len(states)
+        for state, report in zip(states, reports):
+            # dataclass equality compares the four floats exactly
+            assert report == measure_correlations(state)
+
+    def test_random_full_rank_states(self, rng):
+        self._assert_alone_equal(np.stack([random_density(rng) for _ in range(20)]))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_grid(self, name):
+        for topology in ("separate", "common"):
+            cfg = preset_config(name, topology, n_points=21)
+            self._assert_alone_equal(_states_for(cfg, np.linspace(0.0, cfg.t_max, 21)))
+
+    def test_one_state_gives_one_report(self):
+        report = measure_correlations(dephased_bell_state(0.5))
+        assert isinstance(report, CorrelationReport)
+        assert measure_correlations(dephased_bell_state(np.array([0.5]))) == [report]
+
+    def test_failure_names_the_first_invalid_state(self):
+        states = dephased_bell_state(np.linspace(0.0, 1.0, 6))
+        states[4] *= 2.0
+        states[2] *= 2.0
+        with pytest.raises(InvalidStateError, match="trace") as caught:
+            measure_correlations(states)
+        assert caught.value.index == 2
+
+    def test_failure_names_the_earliest_state_whatever_the_check(self):
+        # validation runs first over the whole stack and finds state 3; the
+        # search cap fails every valid state, so state 0 fails first
+        states = dephased_bell_state(np.linspace(0.0, 1.0, 5))
+        states[3, 0, 0] = np.nan
+        with pytest.raises(NumericalError, match="step floor") as caught:
+            measure_correlations(states, OptimizerSettings(max_iterations=1))
+        assert caught.value.index == 0
+
+    def test_long_curve_stays_small_in_memory(self):
+        # scoring the grid of all 801 states at once would take hundreds of MB
+        cfg = preset_config("fig2-nonmarkov", "common")
+        states = _states_for(cfg, np.linspace(0.0, cfg.t_max, cfg.n_points))
+        tracemalloc.start()
+        try:
+            measure_correlations(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestClosedFormDiscord:

@@ -375,7 +375,7 @@ class TestWorkerPool:
 class TestMonteCarloProperties:
     """Exact properties of every Monte Carlo estimate, whatever the draws."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(
         gamma=st.floats(0.05, 20.0),
         nu=st.floats(0.1, 3.0),
@@ -396,7 +396,7 @@ class TestMonteCarloProperties:
         assert np.all(z.imag == 0.0)
         assert np.all(np.abs(z) <= 1.0 + 1e-12)
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20)
     @given(
         c0=st.floats(-2.0, 2.0),
         delta_c=st.floats(0.05, 2.0),

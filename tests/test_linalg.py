@@ -176,6 +176,25 @@ class TestEntropy:
         with pytest.raises(InvalidStateError):
             entropy_bits([1.1, -1e-3])
 
+    def test_stack_of_spectra_matches_the_sum_over_positive_entries(self, rng):
+        # zeros and clipped entries sit among the terms; each row must equal,
+        # bit for bit, the sum over its positive entries alone
+        spectra = rng.dirichlet(np.ones(4), size=200)
+        spectra[::3, :2] = 0.0
+        spectra[1::5, 0] = -1e-12
+        spectra[2::7] = [0.0, 0.0, 0.0, 1.0]
+        for row, value in zip(spectra, entropy_bits(spectra)):
+            positive = np.clip(row, 0.0, 1.0)
+            positive = positive[positive > 0.0]
+            assert value == -np.sum(positive * np.log2(positive))
+            assert value == entropy_bits(row)
+
+    def test_stack_names_the_spectrum_below_the_floor(self):
+        spectra = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.1, -1e-3]]])
+        with pytest.raises(InvalidStateError, match="-1.000e-03") as caught:
+            entropy_bits(spectra)
+        assert caught.value.index == 1
+
     def test_concavity_spot_check(self, rng):
         for _ in range(20):
             rho1 = random_density(rng)
@@ -209,3 +228,46 @@ class TestValidateState:
         bad[2, 2] = np.nan
         with pytest.raises(InvalidStateError, match="finite"):
             validate_state(bad)
+
+    def test_stack_returns_each_spectrum(self, rng):
+        stack = np.stack([random_density(rng) for _ in range(6)])
+        spectra = validate_state(stack)
+        for rho, spectrum in zip(stack, spectra):
+            assert np.array_equal(spectrum, validate_state(rho))
+            assert np.array_equal(spectrum, eigvals_hermitian(rho))
+
+    @pytest.mark.parametrize(
+        "index,corrupt,message",
+        [
+            (4, lambda rho: rho * np.nan, "finite"),
+            (2, lambda rho: 2.0 * rho, "trace"),
+            (3, lambda rho: rho + 1e-6 * np.triu(np.ones((4, 4)), 1), "Hermitian"),
+            (
+                5,
+                lambda rho: (0.875 * BELL_PROJECTOR - 0.125 * np.eye(4) / 4) / 0.75,
+                "negative eigenvalue",
+            ),
+        ],
+    )
+    def test_stack_names_the_first_failing_state(self, rng, index, corrupt, message):
+        stack = np.stack([random_density(rng) for _ in range(7)])
+        stack[index] = corrupt(stack[index])
+        stack[6] = 2.0 * stack[6]
+        with pytest.raises(InvalidStateError, match=message) as caught:
+            validate_state(stack)
+        assert caught.value.index == index
+
+    def test_stack_reports_an_earlier_state_failing_a_later_check(self, rng):
+        # the non-finite check runs first over the whole stack, but state 1
+        # fails the spectrum check and comes first
+        stack = np.stack([random_density(rng) for _ in range(4)])
+        stack[1] = (0.875 * BELL_PROJECTOR - 0.125 * np.eye(4) / 4) / 0.75
+        stack[3, 0, 0] = np.inf
+        with pytest.raises(InvalidStateError, match="negative eigenvalue") as caught:
+            validate_state(stack)
+        assert caught.value.index == 1
+
+    def test_single_matrix_error_has_no_index(self):
+        with pytest.raises(InvalidStateError) as caught:
+            validate_state(2.0 * BELL_PROJECTOR)
+        assert caught.value.index is None

@@ -327,7 +327,7 @@ class TestDecayFactor:
         expected = np.exp(-4.0 * t / (gamma + math.sqrt(gamma * gamma - 4.0)))
         assert np.allclose(decay_factor(2.0, gamma, t), expected, rtol=1e-14, atol=0.0)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(
         log_gamma=st.floats(-3.0, 3.0),
         side=st.sampled_from((-1.0, 1.0)),
@@ -342,7 +342,7 @@ class TestDecayFactor:
         outside = decay_factor(gamma * (1.0 + side * 1.01e-9), gamma, t)
         assert abs(inside - outside) <= 1e-6
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         log_coupling=st.floats(-6.0, 200.0),
         log_gamma=st.floats(-6.0, 200.0),

@@ -6,12 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellnoise import cli
+from bellnoise.correlations import OptimizerSettings, measure_correlations
+from bellnoise.errors import InvalidStateError, NumericalError
+from bellnoise.linalg import validate_state
 from bellnoise.noise import TelegraphSpec, decay_factor
 from bellnoise.scenarios import (
     Curve,
     ScenarioConfig,
+    _states_for,
     compare_methods,
     emit_csv,
     extract_features,
@@ -77,11 +83,16 @@ class TestConfigValidation:
             (dict(threshold=math.nan), "threshold must be finite"),
             (dict(quad_nodes=1), "quad_nodes must be 2 to 1024"),
             (dict(quad_nodes=1025), "quad_nodes must be 2 to 1024"),
+            (dict(method="mc", seed=-1), "mc needs seed >= 0"),
         ],
     )
     def test_rejects_bad_rtn_fields(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             rtn_config(**overrides).validate()
+
+    def test_seed_is_ignored_without_sampling(self):
+        rtn_config(seed=-1).validate()
+        static_config(method="quadrature", seed=-1).validate()
 
     def test_rejects_missing_static_fields(self):
         with pytest.raises(ValueError, match="delta_c"):
@@ -146,16 +157,68 @@ class TestRunScenario:
         assert np.max(np.abs(classical - 1.0)) <= 1e-12
         assert np.max(np.abs(excess)) <= 1e-12
 
-    def test_numerical_failure_carries_time_context(self, monkeypatch):
+    def test_numerical_failure_carries_time_context(self):
+        # one search step cannot reach the step floor, so every point fails
+        # and the message names the first
+        with pytest.raises(NumericalError, match=r"^at nt=0: measurement optimisation"):
+            run_scenario(rtn_config(n_points=3), settings=OptimizerSettings(max_iterations=1))
+
+    def test_failure_context_names_the_first_failing_point(self, monkeypatch):
         import bellnoise.scenarios as scenarios
-        from bellnoise.errors import NumericalError
 
-        def broken(rho, settings=None):
-            raise NumericalError("synthetic failure")
+        cfg = rtn_config(t_max=4.0, n_points=5)
+        real_states = scenarios._states_for
 
-        monkeypatch.setattr(scenarios, "measure_correlations", broken)
-        with pytest.raises(NumericalError, match="at nt="):
-            run_scenario(rtn_config(n_points=3))
+        def one_bad_state(cfg, times):
+            states = real_states(cfg, times)
+            states[3] *= 2.0
+            return states
+
+        monkeypatch.setattr(scenarios, "_states_for", one_bad_state)
+        with pytest.raises(InvalidStateError, match=r"^at nt=3: invalid density matrix"):
+            run_scenario(cfg)
+
+
+ROUTES = [
+    ("rtn", "closed_form"),
+    ("rtn", "mc"),
+    ("static", "closed_form"),
+    ("static", "quadrature"),
+    ("static", "mc"),
+]
+
+
+class TestRouteProperties:
+    """Whatever the noise, topology and method: valid states and bounded measures."""
+
+    @settings(max_examples=30)
+    @given(
+        route=st.sampled_from(ROUTES),
+        topology=st.sampled_from(("separate", "common")),
+        nu=st.floats(0.1, 3.0),
+        gamma=st.floats(0.05, 20.0),
+        c0=st.floats(-2.0, 2.0),
+        delta_c=st.floats(0.05, 2.0),
+        t_max=st.floats(0.1, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_states_valid_and_measures_bounded(
+        self, route, topology, nu, gamma, c0, delta_c, t_max, seed
+    ):
+        noise_kind, method = route
+        cfg = ScenarioConfig(
+            noise_kind=noise_kind, topology=topology, method=method, nu=nu, gamma=gamma,
+            c0=c0, delta_c=delta_c, t_max=t_max, n_points=4, n_samples=256, seed=seed,
+        )
+        states = _states_for(cfg, np.linspace(0.0, t_max, cfg.n_points))
+        validate_state(states)
+        reports = measure_correlations(states)
+        n = np.array([r.negativity for r in reports])
+        q = np.array([r.discord for r in reports])
+        total = np.array([r.mutual_info for r in reports])
+        assert np.all((n >= 0.0) & (n <= 1.0))
+        assert np.all((q >= 0.0) & (q <= 1.0 + 1e-12))
+        assert np.max(np.abs(total - 1.0 - q)) <= 1e-12
 
 
 class TestCsv:
@@ -477,6 +540,24 @@ class TestCli:
         assert result.returncode == 3
         assert "needs nodes >= 1.42857e+201" in result.stderr
         assert len(result.stderr) < 300
+
+    def test_out_of_memory_exits_with_usage_code(self, monkeypatch, capsys):
+        def too_big(cfg, settings=None):
+            raise MemoryError("Unable to allocate 23.8 GiB for an array with shape "
+                              "(100000000, 4, 4) and data type complex128")
+
+        monkeypatch.setattr(cli, "run_scenario", too_big)
+        args = ["simulate", "--noise", "rtn", "--gamma", "1", "--points", "100000000"]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: out of memory: Unable to allocate 23.8 GiB")
+        assert err.count("\n") == 1
+
+    def test_negative_seed_names_the_flag_for_sampling_runs_only(self, capsys):
+        args = ["simulate", "--noise", "rtn", "--gamma", "1", "--points", "3", "--seed", "-1"]
+        assert cli.main(args + ["--method", "mc", "--samples", "16"]) == 1
+        assert "mc needs seed >= 0, got -1" in capsys.readouterr().err
+        assert cli.main(args + ["--method", "closed_form"]) == 0
 
     def test_unwritable_output_path_exits_with_usage_code(self, tmp_path):
         result = run_cli(
