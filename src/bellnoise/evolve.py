@@ -21,6 +21,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -44,6 +45,11 @@ TOPOLOGIES = ("separate", "common")
 # Samples per chunk, and the largest array a chunk's kernel builds at once.
 _CHUNK = 256
 _BLOCK_ELEMENTS = 1 << 16
+# Seconds a pool costs per worker beyond its share of the work.  On a 2-core
+# VM a 2-worker pool takes 15 ms to start and stop with trivial tasks, and
+# adds 25 ms to a 2e4-sample static curve (30 ms pooled against 10 ms
+# in-process): the workers also start cold and send their sums back.
+_POOL_START_S = 0.012
 
 # Gauss-Legendre integrates exp(i w x) on [-1, 1] spectrally while w stays
 # below about this many radians per node.
@@ -62,14 +68,9 @@ def check_topology(topology):
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Single-qubit parameters: coupling ``nu`` to the noise, energy ``epsilon``.
-
-    ``epsilon`` contributes a global phase only and is retained for interface
-    completeness; all observables are independent of it.
-    """
+    """Single-qubit parameters: the coupling ``nu`` to the noise."""
 
     nu: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -254,8 +255,14 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
     # Chunk boundaries are fixed by n_samples alone and each chunk is reduced
     # in index order, so the result is bit-identical for any worker count.
     # Chunks return per-row sums, one row per independent factor of the
-    # estimator; the result holds the row means.  The pool never outnumbers
-    # the chunks or the CPUs this process may run on.  Chunks cost the same,
+    # estimator; the result holds the row means.
+    #
+    # ``workers`` is an upper bound.  Chunk 0 runs here and is timed, and the
+    # chunks left go to a pool only if their expected saving covers the
+    # pool's cost.  A cold chunk 0 can take three times as long as the chunks
+    # after it, so a probe that says "pool" is confirmed on chunk 1 first,
+    # and the faster of the two decides.  The pool never outnumbers the
+    # chunks left or the CPUs this process may run on.  Chunks cost the same,
     # so each worker takes one contiguous batch of them: a task sent on its
     # own costs a round trip through the pool's queues, about a millisecond
     # with a jitter of as much, several times the work of a chunk.
@@ -263,19 +270,34 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
         payload + (start, min(start + _CHUNK, n_samples))
         for start in range(0, n_samples, _CHUNK)
     ]
-    pool_size = min(int(workers), len(tasks), _usable_cpus())
-    if pool_size <= 1:
-        partials = [chunk_fn(task) for task in tasks]
+    partials = []
+    probe = math.inf
+    for task in tasks[:2]:
+        started = perf_counter()
+        partials.append(chunk_fn(task))
+        probe = min(probe, perf_counter() - started)
+        rest = tasks[len(partials) :]
+        pool_size = min(int(workers), len(rest), _usable_cpus())
+        if not _pool_pays(probe, len(rest), pool_size):
+            partials.extend(chunk_fn(task) for task in rest)
+            break
     else:
-        batch = math.ceil(len(tasks) / pool_size)
+        batch = math.ceil(len(rest) / pool_size)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            partials = list(pool.map(chunk_fn, tasks, chunksize=batch))
+            partials.extend(pool.map(chunk_fn, rest, chunksize=batch))
     sums = np.sum(np.stack(partials, axis=0), axis=0)
     if np.iscomplexobj(sums):
         # numpy divides a complex array through the reciprocal of the divisor,
         # which takes 425 / 425 to 1 - 1e-16; divide each part exactly instead
         return sums.real / n_samples + 1j * (sums.imag / n_samples)
     return sums / n_samples
+
+
+def _pool_pays(probe, chunks, pool_size):
+    # A pool saves the share of the chunks' work that runs beside another
+    # worker's, and costs each worker's start-up.
+    saving = probe * chunks * (1.0 - 1.0 / pool_size) if pool_size > 1 else 0.0
+    return saving > _POOL_START_S * pool_size
 
 
 def _usable_cpus():
@@ -314,7 +336,9 @@ def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
     calls.  Samples run in chunks of 256, and each chunk draws all of its
     couplings as one uniform block from the generator of ``(seed, first
     sample index)``: deterministic for fixed ``seed`` regardless of
-    ``workers``.
+    ``workers``.  ``workers`` is an upper bound: chunks go to a process pool
+    only when the timed first chunks show that the pool saves more than it
+    costs to start, so small runs stay in-process.
     """
     check_topology(topology)
     if n_samples < 1:
@@ -350,7 +374,8 @@ def average_rtn_mc(ham, rtn, topology, t_grid, n_traj, seed, workers=1):
     blocks (:func:`~bellnoise.noise.sample_telegraph_block`) from the
     generator of ``(seed, first sample index)``; the block shapes depend only
     on ``gamma``, ``T`` and the grid size.  Deterministic for fixed ``seed``
-    regardless of ``workers``.
+    regardless of ``workers``, which is an upper bound as in
+    :func:`average_static_mc`.
     """
     check_topology(topology)
     if n_traj < 1:

@@ -353,11 +353,13 @@ def compare_methods(cfg, methods, tolerance=None, settings=None):
     """Run the same scenario under several methods and compare the curves.
 
     The default tolerance is 5e-3 for any pair involving Monte Carlo and
-    1e-9 otherwise.
+    1e-9 otherwise.  A given tolerance must be finite and nonnegative.
     """
     unique = sorted(set(methods))
     if len(unique) < 2:
         raise ValueError(f"compare needs at least two distinct methods, got {list(methods)}")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
     curves = {m: run_scenario(replace(cfg, method=m), settings=settings) for m in unique}
     rows = []
     for first, second in combinations(unique, 2):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +12,14 @@ from hypothesis import settings
 # time limit; each test sets its own max_examples.
 settings.register_profile("bellnoise", deadline=None, derandomize=True)
 settings.load_profile("bellnoise")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leftover_processes():
+    """Fail the session if any test leaves a child process running."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still running after the tests: {left}"
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -316,10 +317,10 @@ class TestRtnMonteCarlo:
 
 
 class TestWorkerPool:
-    """The pool never outnumbers the chunks or the usable CPUs."""
+    """The pool starts only where it pays, and never outnumbers the chunks or CPUs."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def recorded(self, monkeypatch):
         sizes = []
 
         class RecordingPool:
@@ -344,7 +345,14 @@ class TestWorkerPool:
         monkeypatch.setattr(evolve.os, "cpu_count", lambda: 3)
         return sizes
 
+    @pytest.fixture
+    def pools(self, recorded, monkeypatch):
+        # a pool that starts for free pays for any run of three chunks or more
+        monkeypatch.setattr(evolve, "_POOL_START_S", 0.0)
+        return recorded
+
     def test_pool_size_is_capped(self, pools):
+        # chunks 0 and 1 run in-process, so the pool takes at most chunks - 2
         spec = TelegraphSpec(gamma=0.5)
         times = np.linspace(0.0, 2.0, 3)
         chunks = 5
@@ -354,15 +362,16 @@ class TestWorkerPool:
             assert pools[-1] == expected
             assert np.array_equal(pooled, serial)
         pools.clear()
-        average_static_mc(HAM, STATIC, "common", times, 2 * 256, seed=6, workers=100_000)
+        average_static_mc(HAM, STATIC, "common", times, 4 * 256, seed=6, workers=100_000)
         assert pools == [2]
 
     def test_each_worker_takes_one_batch_of_chunks(self, pools):
-        # a chunk sent on its own costs a round trip through the pool's queues
+        # a chunk sent on its own costs a round trip through the pool's queues;
+        # the pool gets the 5 chunks after the two probed in-process
         times = np.linspace(0.0, 2.0, 3)
-        serial = average_static_mc(HAM, STATIC, "separate", times, 5 * 256, seed=6)
+        serial = average_static_mc(HAM, STATIC, "separate", times, 7 * 256, seed=6)
         for workers in (2, 3):
-            pooled = average_static_mc(HAM, STATIC, "separate", times, 5 * 256, 6, workers)
+            pooled = average_static_mc(HAM, STATIC, "separate", times, 7 * 256, 6, workers)
             assert np.array_equal(pooled, serial)
         assert evolve.ProcessPoolExecutor.batches == [3, 2]
 
@@ -370,6 +379,59 @@ class TestWorkerPool:
         average_static_mc(HAM, STATIC, "common", 1.0, 256, seed=6, workers=100_000)
         average_rtn_mc(HAM, TelegraphSpec(gamma=0.5), "common", 1.0, 100, seed=6, workers=8)
         assert pools == []
+
+    def test_small_runs_start_no_pool(self, recorded):
+        # a few milliseconds of chunks save less than three workers cost to start
+        times = np.linspace(0.0, 20.0, 21)
+        serial = average_static_mc(HAM, STATIC, "separate", times, 4096, seed=6)
+        assert np.array_equal(
+            average_static_mc(HAM, STATIC, "separate", times, 4096, seed=6, workers=8), serial
+        )
+        average_rtn_mc(HAM, TelegraphSpec(gamma=0.5), "common", times, 1024, seed=6, workers=8)
+        assert recorded == []
+
+    def test_slow_probe_pools_the_rest(self, recorded, monkeypatch):
+        # each clock reading is a second after the last, so every chunk seems to
+        # take 1 s; chunks 0 and 1 run here and the pool gets the other 4
+        ticks = itertools.count()
+        monkeypatch.setattr(evolve, "perf_counter", lambda: float(next(ticks)))
+        times = np.linspace(0.0, 2.0, 3)
+        serial = average_static_mc(HAM, STATIC, "common", times, 6 * 256, seed=6)
+        assert recorded == []
+        pooled = average_static_mc(HAM, STATIC, "common", times, 6 * 256, seed=6, workers=2)
+        assert recorded == [2]
+        assert evolve.ProcessPoolExecutor.batches == [2]
+        assert np.array_equal(pooled, serial)
+
+    def test_slow_first_chunk_alone_starts_no_pool(self, recorded, monkeypatch):
+        # chunk 0 seems to take 1 s, chunk 1 no time: the probe is not confirmed
+        ticks = itertools.chain([0.0, 1.0], itertools.repeat(1.0))
+        monkeypatch.setattr(evolve, "perf_counter", lambda: next(ticks))
+        times = np.linspace(0.0, 2.0, 3)
+        average_rtn_mc(HAM, TelegraphSpec(gamma=0.5), "separate", times, 6 * 256, 6, workers=2)
+        assert recorded == []
+
+    def test_real_pool_matches_one_worker(self, monkeypatch):
+        # a real ProcessPoolExecutor, counted but not replaced, on both kernels
+        started = []
+
+        class CountedPool(evolve.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(evolve, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(evolve, "_POOL_START_S", 0.0)
+        monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        times = np.linspace(0.0, 5.0, 6)
+        spec = TelegraphSpec(gamma=0.5)
+        for topology in TOPOLOGIES:
+            for run in (
+                partial(average_static_mc, HAM, STATIC, topology, times, 6 * 256, 11),
+                partial(average_rtn_mc, HAM, spec, topology, times, 6 * 256, 11),
+            ):
+                assert np.array_equal(run(workers=2), run(workers=1))
+        assert started == [2] * 4
 
 
 class TestMonteCarloProperties:
@@ -467,18 +529,6 @@ class TestInvariants:
             validate_state(rho)
             for keep in ("A", "B"):
                 assert np.max(np.abs(partial_trace(rho, keep) - np.eye(2) / 2)) <= 1e-12
-
-    def test_energy_offset_never_enters(self):
-        shifted = HamiltonianSpec(nu=1.0, epsilon=4.2)
-        t = 1.3
-        assert np.array_equal(
-            closed_form_static(HAM, STATIC, "separate", t),
-            closed_form_static(shifted, STATIC, "separate", t),
-        )
-        assert np.array_equal(
-            average_static_mc(HAM, STATIC, "common", t, 512, seed=4),
-            average_static_mc(shifted, STATIC, "common", t, 512, seed=4),
-        )
 
 
 class TestHelpers:

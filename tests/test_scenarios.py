@@ -342,6 +342,15 @@ class TestCompareMethods:
         report = compare_methods(cfg, ["mc", "closed_form"], tolerance=1e-15)
         assert not report.passed
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected_before_any_curve_runs(self, tolerance, monkeypatch):
+        def never(cfg, settings=None):
+            raise AssertionError("a curve ran")
+
+        monkeypatch.setattr("bellnoise.scenarios.run_scenario", never)
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            compare_methods(static_config(), ["quadrature", "closed_form"], tolerance=tolerance)
+
 
 class TestPresetsAndConfigFiles:
     def test_unknown_preset_rejected(self):
@@ -540,6 +549,16 @@ class TestCli:
         assert result.returncode == 3
         assert "needs nodes >= 1.42857e+201" in result.stderr
         assert len(result.stderr) < 300
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, tolerance, capsys):
+        args = ["compare", "--noise", "static", "--c0", "1", "--delta-c", "1",
+                "--method", "quadrature,closed_form", "--points", "3", "--tolerance", tolerance]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: tolerance must be finite and nonnegative")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_out_of_memory_exits_with_usage_code(self, monkeypatch, capsys):
         def too_big(cfg, settings=None):
