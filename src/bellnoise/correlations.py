@@ -11,6 +11,20 @@ normalising), with ``R_mu = Tr_B[rho (I x sigma_mu)] / 2``.  Each state's
 three blocks ``R_mu`` are built once, and every direction costs a three-term
 sum of them.
 
+Before a state's grid is scored, a screen drops the directions that cannot
+hold its maximum.  The binary entropy obeys ``h(x) >= 4 x (1 - x)`` (Topsoe
+2001), so an outcome of probability ``p`` whose conditional block has
+determinant ``det`` adds at least ``4 det / p`` bits to ``S(A|B)``.  Trace and
+determinant are linear and quadratic in the direction, so the bound at every
+grid direction is a sum over nine cached monomials of the grid.  The exact
+entropy runs at the direction of lowest bound, and then only on the
+directions whose bound lies within a slack of 1e-8 of that value.  Every
+other direction's value lies provably below the best one, by far more than
+rounding (the slack's derivation is at ``_SCREEN_SLACK``), so the grid's
+maximum, its position (the first among ties) and every output bit are those
+of the full grid.  Past ``t = 0`` the presets keep 4 to 12 of the 8192
+directions; a pure Bell state keeps all of them, since every direction ties.
+
 :func:`measure_correlations` scores one state or a whole ``(n, 4, 4)`` stack
 in one call.  Validation, the marginal spectra and the partial-transpose
 spectra each take one eigensolve over the stack.  The grid is scored one
@@ -58,12 +72,29 @@ _GRID_SLICE = 2048
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Grid-then-refine settings for the measurement maximisation."""
+    """Grid-then-refine settings for the measurement maximisation.
+
+    Raises ``ValueError`` for a grid with fewer than 2 polar or 1 azimuthal
+    points, a step floor that is not finite and positive, or no iteration.
+    """
 
     theta_points: int = 64
     phi_points: int = 128
     step_floor: float = 1e-6
     max_iterations: int = 200
+
+    def __post_init__(self):
+        problems = []
+        if not self.theta_points >= 2:
+            problems.append(f"theta_points must be >= 2, got {self.theta_points}")
+        if not self.phi_points >= 1:
+            problems.append(f"phi_points must be >= 1, got {self.phi_points}")
+        if not (math.isfinite(self.step_floor) and self.step_floor > 0):
+            problems.append(f"step_floor must be finite and positive, got {self.step_floor}")
+        if not self.max_iterations >= 1:
+            problems.append(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if problems:
+            raise ValueError("invalid optimizer settings: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -205,6 +236,78 @@ def _measurement_grid(theta_points, phi_points):
     return grid
 
 
+def _monomials(directions):
+    """``(9, m)`` monomials of ``(m, 3)`` directions: ``nx, ny, nz``, then
+    ``nx^2, ny^2, nz^2, nx ny, nx nz, ny nz``."""
+    x, y, z = directions.T
+    return np.stack([x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_monomials(theta_points, phi_points):
+    """Read-only :func:`_monomials` of the flattened search grid."""
+    monomials = _monomials(_measurement_grid(theta_points, phi_points)[2].reshape(-1, 3))
+    monomials.flags.writeable = False
+    return monomials
+
+
+# The screen's bound counts no outcome of probability p <= _SCREEN_P_MIN,
+# which only lowers it.  A direction is dropped when its bound exceeds the
+# exact value at one direction by more than _SCREEN_SLACK, so its own exact
+# value exceeds the best one by at least the slack minus the rounding of the
+# bound and of the exact kernel.  Block entries are at most 1/2 in size, so
+# the bound's numerator rounds off by at most ~1e-13 and, over p > 1e-4, the
+# bound by at most ~2e-9 (measured on random states: below 1e-12); the kernel
+# rounds off by less than 1e-13.  The slack exceeds both, and the gap left,
+# at least 8e-9, is millions of times the spacing of doubles near 1, so a
+# dropped direction's value cannot round to a tie with the best one either.
+_SCREEN_P_MIN = 1e-4
+_SCREEN_SLACK = 1e-8
+
+
+def _bound_coefficients(parts):
+    """Per state of a stack, the screen's bound as polynomials in the direction.
+
+    An outcome's block ``base +- n.R`` has trace ``P +- a.n`` and determinant
+    ``D +- b.n + q(n)``, ``q`` a quadratic form.  Returns ``(P, a, even,
+    odd)``: ``P`` (count,), ``a`` (count, 3), ``even`` (count, 7) holding
+    ``4 D`` and then ``4 q``'s coefficients of ``nx^2, ny^2, nz^2, nx ny,
+    nx nz, ny nz``, and ``odd`` (count, 3) holding ``4 b``.
+    """
+    b1, b2, br, bi = np.moveaxis(parts[:, 0], -1, 0)
+    r1, r2, rr, ri = np.moveaxis(parts[:, 1:], -1, 0)
+    trace = b1 + b2
+    slope = r1 + r2
+    det = b1 * b2 - br * br - bi * bi
+    linear = b1[:, None] * r2 + b2[:, None] * r1 - 2.0 * (br[:, None] * rr + bi[:, None] * ri)
+    # q(n) = sum_mu,nu n_mu n_nu form[mu, nu]
+    form = (r1[:, :, None] * r2[:, None, :] - rr[:, :, None] * rr[:, None, :]
+            - ri[:, :, None] * ri[:, None, :])
+    mixed = form + np.swapaxes(form, 1, 2)
+    even = np.stack([det, form[:, 0, 0], form[:, 1, 1], form[:, 2, 2],
+                     mixed[:, 0, 1], mixed[:, 0, 2], mixed[:, 1, 2]], axis=-1)
+    return trace, slope, 4.0 * even, 4.0 * linear
+
+
+def _entropy_bound(trace, slope, even, odd, monomials):
+    """Lower bound on :func:`_entropies_after` of one state at every grid
+    direction, from its :func:`_bound_coefficients` as lists.
+
+    Each outcome of probability ``p > _SCREEN_P_MIN`` contributes ``4 det / p``
+    and the others 0.  The sums are written out so that no BLAS runs.
+    """
+    x, y, z = monomials[:3]
+    along = slope[0] * x + slope[1] * y + slope[2] * z
+    flip = odd[0] * x + odd[1] * y + odd[2] * z
+    level = even[0] + even[1] * monomials[3]
+    for coefficient, monomial in zip(even[2:], monomials[4:]):
+        level += coefficient * monomial
+    bound = np.zeros(monomials.shape[1])
+    for numerator, p in ((level + flip, trace + along), (level - flip, trace - along)):
+        bound += np.divide(numerator, p, out=np.zeros_like(p), where=p > _SCREEN_P_MIN)
+    return bound
+
+
 def _search(parts, entropy_a, cfg):
     """Maximise ``S(A) - S(A|B)`` over measurements for each of a stack of states.
 
@@ -218,12 +321,20 @@ def _search(parts, entropy_a, cfg):
     """
     tt, pp, grid = _measurement_grid(cfg.theta_points, cfg.phi_points)
     directions = grid.reshape(-1, 3)
+    monomials = _grid_monomials(cfg.theta_points, cfg.phi_points)
+    coefficients = [column.tolist() for column in _bound_coefficients(parts)]
     count = len(entropy_a)
     value, theta, phi_az = np.empty(count), np.empty(count), np.empty(count)
     for i in range(count):
-        values = entropy_a[i] - _sliced_entropies(parts[i], directions)
-        best = int(np.argmax(values))
-        value[i], theta[i], phi_az[i] = values[best], tt.flat[best], pp.flat[best]
+        # Only directions whose bound is within the slack of one exact value
+        # can hold the grid's maximum (see the module docstring).
+        bound = _entropy_bound(*(column[i] for column in coefficients), monomials)
+        cutoff = _entropies_after(parts[i], directions[int(np.argmin(bound))]) + _SCREEN_SLACK
+        kept = np.flatnonzero(bound <= cutoff)
+        values = entropy_a[i] - _sliced_entropies(parts[i], directions[kept])
+        pick = int(np.argmax(values))
+        best = kept[pick]
+        value[i], theta[i], phi_az[i] = values[pick], tt.flat[best], pp.flat[best]
 
     step = np.full(count, max(math.pi / (cfg.theta_points - 1), 2.0 * math.pi / cfg.phi_points))
     active = np.arange(count)

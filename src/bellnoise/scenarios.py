@@ -92,6 +92,16 @@ class ScenarioConfig:
                 problems.append("static noise needs c0")
             if self.delta_c is None or not self.delta_c > 0:
                 problems.append(f"static noise needs delta_c > 0, got {self.delta_c}")
+            elif self.c0 is not None:
+                # the largest phase any route takes; past the float range the
+                # routes' sines and cosines turn it into nan
+                phase = 4.0 * self.nu * (abs(self.c0) + self.delta_c) * self.t_max
+                inputs = (self.nu, self.c0, self.delta_c, self.t_max)
+                if all(map(math.isfinite, inputs)) and not math.isfinite(phase):
+                    problems.append(
+                        f"static noise phase 4*nu*(|c0|+delta_c)*t_max must be finite, got "
+                        f"4*{self.nu:g}*({abs(self.c0):g}+{self.delta_c:g})*{self.t_max:g}"
+                    )
         if self.method == "mc" and self.n_samples < 1:
             problems.append(f"mc needs n_samples >= 1, got {self.n_samples}")
         if self.method == "mc" and self.seed < 0:

@@ -1,14 +1,23 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellnoise import correlations
 from bellnoise.correlations import (
     CorrelationReport,
     OptimizerSettings,
+    _bound_coefficients,
+    _entropies_after,
+    _entropy_bound,
     _measurement_grid,
+    _measurement_parts,
+    _monomials,
+    _search,
     classical_correlations,
     conditional_entropy,
     dephased_bell_discord,
@@ -156,6 +165,33 @@ class TestClassicalCorrelations:
             classical_correlations(dephased_bell_state(0.5), settings)
 
 
+class TestOptimizerSettings:
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(theta_points=1), "theta_points must be >= 2, got 1"),
+            (dict(theta_points=0), "theta_points must be >= 2, got 0"),
+            (dict(phi_points=0), "phi_points must be >= 1, got 0"),
+            (dict(step_floor=math.nan), "step_floor must be finite and positive, got nan"),
+            (dict(step_floor=math.inf), "step_floor must be finite and positive, got inf"),
+            (dict(step_floor=0.0), "step_floor must be finite and positive, got 0.0"),
+            (dict(step_floor=-1e-6), "step_floor must be finite and positive"),
+            (dict(max_iterations=0), "max_iterations must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_values_that_crash_or_skip_the_search(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerSettings(**overrides)
+
+    def test_smallest_valid_settings_search(self):
+        OptimizerSettings(max_iterations=2, step_floor=1e-9)
+        OptimizerSettings(max_iterations=1)
+        optimum = classical_correlations(
+            dephased_bell_state(0.5), OptimizerSettings(theta_points=2, phi_points=1)
+        )
+        assert optimum.value == pytest.approx(1.0, abs=1e-9)
+
+
 def conditional_entropy_reference(rho, direction):
     """Textbook form: explicit projectors (I +- n.sigma)/2 on B, one at a time."""
     pauli = (
@@ -213,8 +249,125 @@ class TestConditionalEntropyOracle:
         grid = _measurement_grid(64, 128)
         assert _measurement_grid(64, 128) is grid
         assert grid[2].shape == (64, 128, 3)
-        for array in grid:
+        monomials = correlations._grid_monomials(64, 128)
+        assert correlations._grid_monomials(64, 128) is monomials
+        assert monomials.shape == (9, 64 * 128)
+        for array in grid + (monomials,):
             assert not array.flags.writeable
+
+
+# A step floor above the grid's first step ends the search on the grid itself.
+GRID_ONLY = OptimizerSettings(step_floor=1.0)
+
+
+def unscreened_grid_optimum(rho, entropy_a):
+    """``(value, theta, phi_az)`` of the first best direction of the full
+    64 x 128 grid, every direction scored by the public kernel."""
+    tt, pp, directions = _measurement_grid(64, 128)
+    values = entropy_a - conditional_entropy(rho, directions)
+    best = int(np.argmax(values))
+    return values.flat[best], tt.flat[best], pp.flat[best]
+
+
+def bound_and_kernel(rho, directions):
+    """The screen's bound and the exact kernel for one state at ``directions``."""
+    parts = _measurement_parts(np.asarray(rho, dtype=complex).reshape(1, 4, 4))
+    coefficients = [column[0] for column in (c.tolist() for c in _bound_coefficients(parts))]
+    bound = _entropy_bound(*coefficients, _monomials(directions))
+    return bound, _entropies_after(parts[0], directions)
+
+
+class TestGridScreen:
+    """The bound screen keeps the grid's first maximum, bit for bit."""
+
+    @staticmethod
+    def _assert_screen_exact(states):
+        entropy_a = vn_entropy(partial_trace(states, "A"))
+        found = _search(_measurement_parts(states), entropy_a, GRID_ONLY)
+        for i, rho in enumerate(states):
+            expected = unscreened_grid_optimum(rho, entropy_a[i])
+            assert tuple(column[i] for column in found) == expected, i
+
+    def test_random_full_rank_states(self, rng):
+        for _ in range(40):
+            self._assert_screen_exact(random_density(rng)[None])
+
+    def test_states_where_directions_tie_or_outcomes_vanish(self, rng):
+        up = np.diag([1.0, 0.0]).astype(complex)
+        cases = [
+            bell_projector(),  # z = 1: every direction gives 0 bits
+            np.kron(up, up),  # |00>: nothing to learn, one outcome empty along z
+            np.kron(random_density(rng, n=2), up),  # B pure: the -z outcome is empty
+            np.eye(4, dtype=complex) / 4,  # every conditional state maximally mixed
+        ]
+        for rho in cases:
+            self._assert_screen_exact(rho[None])
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_scored_as_one_stack(self, name):
+        for topology in ("separate", "common"):
+            cfg = preset_config(name, topology, n_points=21)
+            self._assert_screen_exact(_states_for(cfg, np.linspace(0.0, cfg.t_max, 21)))
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mixing_a=st.floats(0.0, 1.0),
+        mixing_b=st.floats(0.0, 1.0),
+        tilt=st.floats(1e-7, 1.0),
+    )
+    def test_bound_never_exceeds_the_kernel(self, seed, mixing_a, mixing_b, tilt):
+        # Qubit states mixed towards pure ones.  Directions tilted from B's
+        # Bloch vector by `tilt` give one outcome a probability down to
+        # ~1e-14, well below the 1e-4 cut-off; a pure A makes the bound tight.
+        rng = np.random.default_rng(seed)
+
+        def towards_pure(mixing):
+            pure = random_unitary(rng, n=2)[:, :1]
+            return (1.0 - mixing) * (pure @ pure.conj().T) + mixing * random_density(rng, n=2)
+
+        b_state = towards_pure(mixing_b)
+        rho = np.kron(towards_pure(mixing_a), b_state)
+        if seed % 2:
+            rho = 0.5 * (rho + random_density(rng))
+        bloch = np.real([np.trace(b_state @ p) for p in correlations._PAULIS])
+        bloch /= np.linalg.norm(bloch)
+        random = rng.normal(size=(32, 3))
+        random /= np.linalg.norm(random, axis=1, keepdims=True)
+        tilted = bloch + tilt * random
+        tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+        directions = np.concatenate([random, tilted, [bloch, -bloch]])
+        bound, kernel = bound_and_kernel(rho, directions)
+        # the screen's 1e-8 slack covers rounding 1000 times this allowance
+        assert np.all(bound <= kernel + 1e-11)
+
+    def test_bound_is_the_topsoe_form(self):
+        # conditional states I/4 give h(1/2) = 1 = 4 (1/2)(1/2): the bound is tight
+        directions = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        bound, kernel = bound_and_kernel(np.eye(4) / 4, directions)
+        assert np.all(bound == 1.0) and np.all(kernel == 1.0)
+        # pure conditional states: h = 0 = 4 det / p
+        bound, kernel = bound_and_kernel(bell_projector(), directions)
+        assert np.allclose(bound, 0.0, atol=1e-15) and np.allclose(kernel, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_screen_scores_few_directions_after_t0(self, name, monkeypatch):
+        # a guard against a screen that stops pruning: past t = 0 only the
+        # directions near the optimum may reach the exact kernel
+        scored = []
+
+        def counting(parts, n):
+            if parts.ndim == 2:  # one state's grid, not the lockstep search
+                scored.append(n.size // 3)
+            return _entropies_after(parts, n)
+
+        monkeypatch.setattr(correlations, "_entropies_after", counting)
+        for topology in ("separate", "common"):
+            cfg = preset_config(name, topology, n_points=21)
+            states = _states_for(cfg, np.linspace(0.0, cfg.t_max, 21))[1:]
+            scored.clear()
+            measure_correlations(states)
+            assert 0 < sum(scored) < 0.05 * len(states) * 64 * 128, (topology, sum(scored))
 
 
 class TestDiscord:

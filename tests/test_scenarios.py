@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -93,6 +94,20 @@ class TestConfigValidation:
     def test_seed_is_ignored_without_sampling(self):
         rtn_config(seed=-1).validate()
         static_config(method="quadrature", seed=-1).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(c0=0.0, delta_c=1e200, nu=1e200), dict(c0=1e308, delta_c=1e308),
+         dict(c0=-1e300, t_max=1e10)],
+    )
+    def test_rejects_a_static_phase_past_the_float_range(self, overrides):
+        message = re.escape("phase 4*nu*(|c0|+delta_c)*t_max must be finite")
+        with pytest.raises(ValueError, match=message):
+            static_config(**overrides).validate()
+
+    def test_accepts_a_large_finite_static_phase(self):
+        static_config(c0=1.0, delta_c=1e200).validate()
+        static_config(nu=1e300).validate()
 
     def test_rejects_missing_static_fields(self):
         with pytest.raises(ValueError, match="delta_c"):
@@ -539,6 +554,24 @@ class TestCli:
             numeric, _ = parse_csv(result.stdout)
             assert numeric["negativity"][0] == 1.0
             assert np.all(np.isfinite(numeric["negativity"]))
+
+    def test_overflowing_static_phase_is_a_usage_error(self):
+        # past the float range every route's sines and cosines would turn the
+        # phase into nan; validation refuses it before any route runs
+        for method in ("closed_form", "quadrature", "mc"):
+            for case in (
+                ("--c0", "0", "--delta-c", "1e200", "--nu", "1e200"),
+                ("--c0", "1e308", "--delta-c", "1e308"),
+            ):
+                result = run_cli(
+                    "simulate", "--noise", "static", "--method", method, "--points", "5",
+                    "--samples", "16", *case,
+                )
+                assert result.returncode == 1, (method, case, result.stderr)
+                assert "RuntimeWarning" not in result.stderr
+                assert result.stderr.startswith("usage error:")
+                assert "phase 4*nu*(|c0|+delta_c)*t_max must be finite" in result.stderr
+                assert result.stdout == ""
 
     def test_unresolvable_quadrature_prints_a_short_node_count(self):
         result = run_cli(
