@@ -156,8 +156,9 @@ def average_static_quadrature(ham, noise, topology, t, nodes=None):
     (common), stays within 1.4 radians per node.  ``nodes=None`` chooses
     ``max(64, ceil(oscillation / 1.4))`` nodes, at most 1024.  A node count
     beyond the bound raises :class:`NumericalError` with the smallest count
-    that resolves the integrand; an explicit count outside 2 to 1024 raises
-    ``ValueError``, since ``leggauss`` builds a dense n x n matrix.
+    that resolves the integrand, and so does an oscillation that overflows to
+    infinity; an explicit count outside 2 to 1024 raises ``ValueError``,
+    since ``leggauss`` builds a dense n x n matrix.
     """
     check_topology(topology)
     times, shape = _time_grid(t)
@@ -165,6 +166,11 @@ def average_static_quadrature(ham, noise, topology, t, nodes=None):
         raise ValueError(f"need 2 to {MAX_NODES} quadrature nodes, got {nodes}")
     spread = noise.delta_c * ham.nu * float(times.max(initial=0.0))
     oscillation = spread if topology == "separate" else 2.0 * spread
+    if not math.isfinite(oscillation):
+        raise NumericalError(
+            f"quadrature oscillation is not finite ({topology} environments, "
+            f"delta_c nu t = {spread:.6g})"
+        )
     needed = math.ceil(oscillation / _RAD_PER_NODE)
     if nodes is None:
         nodes = min(max(_DEFAULT_NODES, needed), MAX_NODES)

@@ -64,12 +64,6 @@ class TelegraphTrajectory:
     flip_times: np.ndarray
     horizon: float
 
-    def value_at(self, t):
-        """Trajectory value (+1 or -1) at time(s) ``t``."""
-        count = np.searchsorted(self.flip_times, t, side="right")
-        value = self.initial_value * (-1.0) ** count
-        return float(value) if np.ndim(t) == 0 else value
-
 
 class TelegraphBlock(NamedTuple):
     """Many telegraph realizations on ``[0, horizon]``, one per row.
@@ -133,14 +127,24 @@ def sample_telegraph_block(spec, horizon, rows, rng):
     initial = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
     width = _telegraph_block_width(spec, horizon)
     scale = 1.0 / spec.gamma
-    times = np.cumsum(rng.exponential(scale, size=(rows, width)), axis=1)
+    times = _cumulated_waits(rng, scale, (rows, width))
     while rows and times[:, -1].min() < horizon:
-        more = np.cumsum(rng.exponential(scale, size=(rows, width)), axis=1)
-        times = np.concatenate([times, more + times[:, -1:]], axis=1)
-    # Columns past every row's last flip would hold the horizon alone.
-    most = int(np.count_nonzero(times < horizon, axis=1).max(initial=0))
+        more = _cumulated_waits(rng, scale, (rows, width))
+        more += times[:, -1:]
+        times = np.concatenate([times, more], axis=1)
+    # Rows ascend, so their column minima do too: the columns that hold any
+    # flip before the horizon come first.  Later ones would hold it alone.
+    most = int(np.searchsorted(times.min(axis=0, initial=np.inf), horizon))
     flips = np.minimum(times[:, :most], horizon)
     return TelegraphBlock(initial, flips, float(horizon))
+
+
+def _cumulated_waits(rng, scale, shape):
+    # rng.exponential(scale, shape) draws scale * rng.standard_exponential(shape)
+    # bit for bit; scaling and cumulating in place saves two temporaries.
+    waits = rng.standard_exponential(shape)
+    waits *= scale
+    return np.cumsum(waits, axis=1, out=waits)
 
 
 def _times_within(times, horizon):
@@ -173,30 +177,44 @@ def accumulate_phases(trajectory, nu, times):
 def accumulate_block_phases(block, nu, times):
     """Dephasing phases of every row of a :class:`TelegraphBlock` at ``times``.
 
-    Row by row this is :func:`accumulate_phases`: the running integral is
-    exact at each flip and is continued linearly from the last flip at or
-    before each time.  ``times`` may come in any order, all within
-    ``[0, horizon]``.  Returns a ``(rows, len(times))`` array.
+    Row by row this is :func:`accumulate_phases`, with the same roundings.
+    The running integral of a row that starts at +1 is the cumulative sum of
+    the waits between its flips, taken with alternating signs.  Flips at or
+    before each time are counted exactly in integers; the count picks the
+    integral at the last such flip, and its parity gives the sign on which
+    the integral continues from there.  Scaling by ``-nu`` times the row's
+    initial sign comes last and is exact.  ``times`` may come in any order,
+    all within ``[0, horizon]``.  Returns a ``(rows, len(times))`` array.
     """
     times = _times_within(times, block.horizon)
-    rows, k = block.flips.shape
-    segment_values = block.initial[:, None] * (-1.0) ** np.arange(k + 1)
-    bounds = np.concatenate([np.zeros((rows, 1)), block.flips], axis=1)
-    steps = np.cumsum(segment_values[:, :k] * np.diff(bounds, axis=1), axis=1)
-    integral_at_flip = np.concatenate([np.zeros((rows, 1)), steps], axis=1)
-    # Flips at or before each time, counted exactly in integers: bin every
-    # flip by the first sorted time at or after it, then cumulate the bins.
+    flips = block.flips
+    rows, k = flips.shape
+    integral = np.empty((rows, k + 1))
+    integral[:, 0] = 0.0
+    integral[:, 1:2] = flips[:, :1]
+    np.subtract(flips[:, 1:], flips[:, :-1], out=integral[:, 2:])
+    np.negative(integral[:, 2::2], out=integral[:, 2::2])
+    np.cumsum(integral, axis=1, out=integral)
+    # Bin every flip by the first sorted time at or after it, then cumulate
+    # the bins: the flips at or before each time.
     n = times.size
     order = np.argsort(times, kind="stable")
-    first_after = np.searchsorted(times[order], block.flips, side="left")
-    bins = (np.arange(rows)[:, None] * (n + 1) + first_after).ravel()
-    counts = np.bincount(bins, minlength=rows * (n + 1)).reshape(rows, n + 1)
-    idx = np.empty((rows, n), dtype=np.intp)
-    idx[:, order] = np.cumsum(counts[:, :n], axis=1)
-    value, integral, since = (
-        np.take_along_axis(a, idx, axis=1) for a in (segment_values, integral_at_flip, bounds)
-    )
-    return -nu * (integral + value * (times - since))
+    first_after = np.searchsorted(times[order], flips, side="left")
+    first_after += np.arange(0, rows * (n + 1), n + 1)[:, None]
+    bins = np.bincount(first_after.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+    count = np.empty((rows, n), dtype=np.intp)
+    count[:, order] = np.cumsum(bins[:, :n], axis=1)
+    phases = np.take_along_axis(integral, count, axis=1)
+    last = np.maximum(count - 1, 0)
+    since = np.take_along_axis(flips, last, axis=1) if k else np.zeros(count.shape)
+    since[count == 0] = 0.0
+    phases += (1 - 2 * (count & 1)) * (times - since)
+    phases *= block.initial[:, None]
+    # A vanishing integral becomes +0.0 for either initial sign, so the
+    # phase is -0.0 there, as from accumulate_phases.
+    phases += 0.0
+    phases *= -nu
+    return phases
 
 
 def accumulate_phase(trajectory, nu, t):

@@ -184,6 +184,14 @@ class TestQuadrature:
         fine = average_static_quadrature(HAM, noise, "common", 100.0, nodes=143)
         assert np.max(np.abs(fine - closed_form_static(HAM, noise, "common", 100.0))) <= 1e-9
 
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("nodes", [None, 64])
+    def test_overflowing_oscillation_is_a_numerical_error(self, topology, nodes):
+        # delta_c nu t = 1e400 overflows; the node count must not be derived from it
+        ham, noise = HamiltonianSpec(nu=1e200), StaticNoiseSpec(c0=0.0, delta_c=1e200)
+        with pytest.raises(NumericalError, match="oscillation is not finite"):
+            average_static_quadrature(ham, noise, topology, np.array([0.0, 1.0]), nodes=nodes)
+
     def test_chooses_node_count_when_unset(self):
         # max(64, ceil(oscillation / 1.4)) nodes, capped at 1024
         noise = StaticNoiseSpec(c0=0.5, delta_c=1.0)

@@ -42,7 +42,7 @@ class TestStaticSampler:
         spec = StaticNoiseSpec(c0=0.6, delta_c=1.4)
         rng = substream(101, 0)
         n = 10**6
-        draws = np.array([sample_static(spec, rng) for _ in range(n)])
+        draws = sample_static(spec, rng, np.zeros(n, dtype=int), 1)
         assert draws.min() >= spec.low
         assert draws.max() <= spec.high
         mean_se = spec.delta_c / math.sqrt(12.0 * n)
@@ -95,11 +95,11 @@ class TestTelegraphSampler:
         horizon = 1.5
         n = 100_000
         probes = np.array([0.25, 0.5, 1.0, 1.5])
-        acc = np.zeros(probes.size)
-        for i in range(n):
-            trajectory = sample_telegraph_trajectory(spec, horizon, substream(13, i))
-            acc += trajectory.initial_value * trajectory.value_at(probes)
-        estimate = acc / n
+        block = sample_telegraph_block(spec, horizon, n, substream(13, 0))
+        # Padding entries equal the horizon, the last probe: count real flips only.
+        real = block.flips < horizon
+        counts = [np.count_nonzero(real & (block.flips <= t), axis=1) for t in probes]
+        estimate = np.mean((-1.0) ** np.array(counts), axis=1)
         expected = telegraph_autocorrelation(spec.gamma, probes)
         assert np.all(np.abs(estimate - expected) <= 3.0 / math.sqrt(n) + 1e-12)
 
@@ -212,6 +212,27 @@ class TestTelegraphBlock:
         assert abs(counts.var() - lam) <= 3.0 * math.sqrt((2.0 * lam * lam + lam) / n)
         assert abs(block.initial.mean()) <= 3.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("gamma", [0.2, 5.0])
+    @pytest.mark.parametrize("width", [None, 2])
+    def test_draws_the_generator_stream_as_documented(self, monkeypatch, gamma, width):
+        # Pins the stream: the initial signs from rng.random(rows), then
+        # (rows, width) blocks of rng.exponential(1 / gamma), bit for bit.
+        if width is not None:
+            monkeypatch.setattr(noise, "_telegraph_block_width", lambda spec, horizon: width)
+        spec, horizon, rows = TelegraphSpec(gamma=gamma), 20.0, 64
+        block = sample_telegraph_block(spec, horizon, rows, substream(43, 0))
+        rng = substream(43, 0)
+        initial = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+        shape = (rows, noise._telegraph_block_width(spec, horizon))
+        times = np.cumsum(rng.exponential(1.0 / gamma, size=shape), axis=1)
+        while times[:, -1].min() < horizon:
+            more = np.cumsum(rng.exponential(1.0 / gamma, size=shape), axis=1)
+            times = np.concatenate([times, more + times[:, -1:]], axis=1)
+        most = np.count_nonzero(times < horizon, axis=1).max()
+        assert np.array_equal(block.initial, initial)
+        assert np.array_equal(block.flips, np.minimum(times[:, :most], horizon))
+        assert block.horizon == horizon
+
     def test_seeding_contract_reproducible(self):
         spec = TelegraphSpec(gamma=3.0)
         first = sample_telegraph_block(spec, 5.0, 16, substream(42, 9))
@@ -227,12 +248,17 @@ class TestTelegraphBlock:
 class TestBlockPhases:
     """The block kernel against :func:`accumulate_phases` on the same flips."""
 
-    @pytest.mark.parametrize("gamma", [0.2, 5.0])
-    @pytest.mark.parametrize("width", [None, 3])
-    def test_equals_scalar_accumulation_row_by_row(self, monkeypatch, gamma, width):
+    @pytest.mark.parametrize(
+        "width, gamma, horizon",
+        [(None, 0.2, 20.0), (None, 5.0, 20.0), (3, 0.2, 20.0), (3, 5.0, 20.0), (None, 1.0, 1e4)],
+        # the long horizon sums ~1e4 waits per row: it fails a kernel that
+        # sums alternating flip times instead, which loses conditioning
+        ids=["None-0.2", "None-5.0", "3-0.2", "3-5.0", "None-1.0-long"],
+    )
+    def test_equals_scalar_accumulation_row_by_row(self, monkeypatch, width, gamma, horizon):
         if width is not None:
             monkeypatch.setattr(noise, "_telegraph_block_width", lambda spec, horizon: width)
-        horizon, nu = 20.0, 1.0
+        nu = 1.0
         block = sample_telegraph_block(TelegraphSpec(gamma=gamma), horizon, 64, substream(5, 0))
         # some rows end in padding: their clipped entries must add nothing
         assert np.any(block.flips == horizon)
