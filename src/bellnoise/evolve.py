@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -50,6 +50,8 @@ _BLOCK_ELEMENTS = 1 << 16
 # adds 25 ms to a 2e4-sample static curve (30 ms pooled against 10 ms
 # in-process): the workers also start cold and send their sums back.
 _POOL_START_S = 0.012
+# Chunks timed in-process before a pool may start.
+_PROBES = 3
 
 # Gauss-Legendre integrates exp(i w x) on [-1, 1] spectrally while w stays
 # below about this many radians per node.
@@ -58,6 +60,19 @@ _RAD_PER_NODE = 1.4
 # a dense n x n matrix, so no count, automatic or given, exceeds MAX_NODES.
 _DEFAULT_NODES = 64
 MAX_NODES = 1024
+
+
+def __getattr__(name):
+    # The process-pool stack (concurrent.futures, multiprocessing and the
+    # thirty-odd modules they import) loads on the first pool start rather
+    # than with the package: most runs never start a pool.  Once loaded, the
+    # class is an ordinary module global that tests can patch.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def check_topology(topology):
@@ -266,8 +281,9 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
     # ``workers`` is an upper bound.  Chunk 0 runs here and is timed, and the
     # chunks left go to a pool only if their expected saving covers the
     # pool's cost.  A cold chunk 0 can take three times as long as the chunks
-    # after it, so a probe that says "pool" is confirmed on chunk 1 first,
-    # and the faster of the two decides.  The pool never outnumbers the
+    # after it, and now and then two chunks in a row run slow on a shared
+    # host, so a probe that says "pool" is confirmed on chunks 1 and 2 first,
+    # and the fastest of the three decides.  The pool never outnumbers the
     # chunks left or the CPUs this process may run on.  Chunks cost the same,
     # so each worker takes one contiguous batch of them: a task sent on its
     # own costs a round trip through the pool's queues, about a millisecond
@@ -278,7 +294,7 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
     ]
     partials = []
     probe = math.inf
-    for task in tasks[:2]:
+    for task in tasks[:_PROBES]:
         started = perf_counter()
         partials.append(chunk_fn(task))
         probe = min(probe, perf_counter() - started)
@@ -289,7 +305,9 @@ def _mc_mean(chunk_fn, payload, n_samples, workers):
             break
     else:
         batch = math.ceil(len(rest) / pool_size)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        # looked up on the module, which loads it on the first pool start
+        executor = sys.modules[__name__].ProcessPoolExecutor
+        with executor(max_workers=pool_size) as pool:
             partials.extend(pool.map(chunk_fn, rest, chunksize=batch))
     sums = np.sum(np.stack(partials, axis=0), axis=0)
     if np.iscomplexobj(sums):

@@ -149,7 +149,8 @@ def _cumulated_waits(rng, scale, shape):
 
 def _times_within(times, horizon):
     times = np.asarray(times, dtype=float)
-    if times.size and (times.min() < 0.0 or times.max() > horizon):
+    # written so that NaN, which fails every comparison, fails the check too
+    if times.size and not (times.min() >= 0.0 and times.max() <= horizon):
         raise ValueError(
             f"times must lie within [0, {horizon}], got range [{times.min()}, {times.max()}]"
         )
@@ -285,20 +286,22 @@ def _i1_series(x):
 
 def _i_asymptotic(x, order):
     # DLMF 10.40.1 truncated at the smallest term; adequate to ~exp(-2x)
-    # relative error, i.e. below 1e-12 for x > 15.
+    # relative error, i.e. below 1e-12 for x > 15.  Each entry stops at its
+    # own smallest term, so an entry's value does not depend on the others.
     mu = 4.0 * order * order
     total = np.ones_like(x)
     term = np.ones_like(x)
-    previous = np.inf
+    previous = np.full_like(x, np.inf)
+    adding = np.ones(x.shape, dtype=bool)
     for k in range(1, 40):
         term = term * -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        largest = float(np.max(np.abs(term)))
-        if largest >= previous:
+        size = np.abs(term)
+        adding &= size < previous
+        if not adding.any():
             break
-        total += term
-        previous = largest
-        if largest < 1e-18:
-            break
+        total[adding] += term[adding]
+        previous = size
+        adding &= size >= 1e-18
     return np.exp(x) / np.sqrt(2.0 * np.pi * x) * total
 
 
@@ -332,7 +335,7 @@ def bessel_i1(x):
 
 
 class PhaseDensity(NamedTuple):
-    """Continuous density at one phase plus the weight of each boundary atom."""
+    """Continuous density at one phase (or an array of them) plus each boundary atom's weight."""
 
     continuous_density: float
     atom_weight: float
@@ -348,9 +351,10 @@ def telegraph_phase_density(nu, gamma, t, phi):
         p(phi) = (gamma / 2 nu) exp(-gamma t) [ I1(u)/w + I0(u) ],
         w = sqrt(1 - (phi / nu t)^2),  u = gamma t w.
 
-    Outside the window the continuous density is zero.  Normalisation and the
-    identity ``<exp(i phi)> = decay_factor(nu, gamma, t)`` are exercised by
-    the tests.
+    Outside the window the continuous density is zero.  ``phi`` may be a
+    scalar or an array; an array gives the continuous density at each entry,
+    equal to the scalar value there.  Normalisation and the identity
+    ``<exp(i phi)> = decay_factor(nu, gamma, t)`` are exercised by the tests.
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
@@ -360,14 +364,19 @@ def telegraph_phase_density(nu, gamma, t, phi):
         raise ValueError(f"t must be positive, got {t}")
     atom = 0.5 * math.exp(-gamma * t)
     window = nu * t
-    if abs(phi) >= window:
-        return PhaseDensity(0.0, atom)
-    w = math.sqrt(1.0 - (phi / window) ** 2)
+    phi = np.asarray(phi, dtype=float)
+    density = np.zeros(phi.shape)
+    inside = ~(np.abs(phi) >= window)  # a NaN phi stays inside and gives NaN
+    # float_power rounds through libm's pow, as a Python float's ``** 2``
+    # does; ``x * x`` differs from it in the last bit about once in a thousand
+    w = np.sqrt(1.0 - np.float_power(phi[inside] / window, 2))
     u = gamma * t * w
     # I1(u)/w = gamma*t * I1(u)/u stays finite as the window edge is approached.
-    i1_over_u = 0.5 + u * u / 16.0 if u < 1e-6 else bessel_i1(u) / u
-    density = atom * (gamma / nu) * (gamma * t * i1_over_u + bessel_i0(u))
-    return PhaseDensity(float(density), atom)
+    i1_over_u = 0.5 + u * u / 16.0
+    exact = u >= 1e-6
+    i1_over_u[exact] = bessel_i1(u[exact]) / u[exact]
+    density[inside] = atom * (gamma / nu) * (gamma * t * i1_over_u + bessel_i0(u))
+    return PhaseDensity(float(density) if density.ndim == 0 else density, atom)
 
 
 def telegraph_autocorrelation(gamma, t):

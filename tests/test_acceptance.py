@@ -274,9 +274,7 @@ class TestCriterion06PhaseDistribution:
                 phases.append(bn.accumulate_phase(trajectory, nu, t))
         phases = np.sort(phases)
         grid = np.linspace(-nu * t, nu * t, 8193)
-        density = np.array(
-            [bn.telegraph_phase_density(nu, gamma, t, p).continuous_density for p in grid]
-        )
+        density = bn.telegraph_phase_density(nu, gamma, t, grid).continuous_density
         cdf = integrate.cumulative_trapezoid(density, grid, initial=0.0)
         cdf /= cdf[-1]
         model = np.interp(phases, grid, cdf)

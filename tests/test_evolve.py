@@ -1,6 +1,10 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,28 +364,31 @@ class TestWorkerPool:
         return recorded
 
     def test_pool_size_is_capped(self, pools):
-        # chunks 0 and 1 run in-process, so the pool takes at most chunks - 2
+        # chunks 0 to 2 run in-process, so the pool takes at most chunks - 3:
+        # 3 of 6 chunks here, as many as the 3 CPUs
         spec = TelegraphSpec(gamma=0.5)
         times = np.linspace(0.0, 2.0, 3)
-        chunks = 5
+        chunks = 6
         serial = average_rtn_mc(HAM, spec, "separate", times, chunks * 256, seed=6)
         for workers, expected in ((100_000, 3), (2, 2)):
             pooled = average_rtn_mc(HAM, spec, "separate", times, chunks * 256, 6, workers)
             assert pools[-1] == expected
             assert np.array_equal(pooled, serial)
         pools.clear()
-        average_static_mc(HAM, STATIC, "common", times, 4 * 256, seed=6, workers=100_000)
+        # 5 chunks leave 2 for the pool, fewer than the CPUs
+        average_static_mc(HAM, STATIC, "common", times, 5 * 256, seed=6, workers=100_000)
         assert pools == [2]
 
     def test_each_worker_takes_one_batch_of_chunks(self, pools):
         # a chunk sent on its own costs a round trip through the pool's queues;
-        # the pool gets the 5 chunks after the two probed in-process
+        # the pool gets the 4 chunks after the three probed in-process, in
+        # batches of ceil(4 / 2) = 2 on 2 workers and ceil(4 / 3) = 2 on 3
         times = np.linspace(0.0, 2.0, 3)
         serial = average_static_mc(HAM, STATIC, "separate", times, 7 * 256, seed=6)
         for workers in (2, 3):
             pooled = average_static_mc(HAM, STATIC, "separate", times, 7 * 256, 6, workers)
             assert np.array_equal(pooled, serial)
-        assert evolve.ProcessPoolExecutor.batches == [3, 2]
+        assert evolve.ProcessPoolExecutor.batches == [2, 2]
 
     def test_single_chunk_runs_without_a_pool(self, pools):
         average_static_mc(HAM, STATIC, "common", 1.0, 256, seed=6, workers=100_000)
@@ -400,7 +407,8 @@ class TestWorkerPool:
 
     def test_slow_probe_pools_the_rest(self, recorded, monkeypatch):
         # each clock reading is a second after the last, so every chunk seems to
-        # take 1 s; chunks 0 and 1 run here and the pool gets the other 4
+        # take 1 s; chunks 0 to 2 run here and the pool gets the other 3, in
+        # batches of ceil(3 / 2) = 2
         ticks = itertools.count()
         monkeypatch.setattr(evolve, "perf_counter", lambda: float(next(ticks)))
         times = np.linspace(0.0, 2.0, 3)
@@ -417,6 +425,15 @@ class TestWorkerPool:
         monkeypatch.setattr(evolve, "perf_counter", lambda: next(ticks))
         times = np.linspace(0.0, 2.0, 3)
         average_rtn_mc(HAM, TelegraphSpec(gamma=0.5), "separate", times, 6 * 256, 6, workers=2)
+        assert recorded == []
+
+    def test_two_slow_chunks_and_a_fast_one_start_no_pool(self, recorded, monkeypatch):
+        # chunks 0 and 1 seem to take 1 s each, chunk 2 no time: the fastest
+        # probe decides, and it says the pool would not pay
+        ticks = itertools.chain([0.0, 1.0, 1.0, 2.0], itertools.repeat(2.0))
+        monkeypatch.setattr(evolve, "perf_counter", lambda: next(ticks))
+        times = np.linspace(0.0, 2.0, 3)
+        average_static_mc(HAM, STATIC, "separate", times, 6 * 256, seed=6, workers=2)
         assert recorded == []
 
     def test_real_pool_matches_one_worker(self, monkeypatch):
@@ -440,6 +457,43 @@ class TestWorkerPool:
             ):
                 assert np.array_equal(run(workers=2), run(workers=1))
         assert started == [2] * 4
+
+
+class TestPoolStackImport:
+    """The process-pool stack loads on the first pool start, not with the package."""
+
+    def test_package_import_leaves_the_pool_stack_out(self):
+        # a fresh interpreter: this one loaded the stack long ago
+        code = (
+            "import sys\n"
+            "stack = ('concurrent.futures', 'multiprocessing')\n"
+            "import bellnoise\n"
+            "print([m for m in stack if m in sys.modules])\n"
+            "import bellnoise.cli\n"
+            "print([m for m in stack if m in sys.modules])\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "print(bellnoise.evolve.ProcessPoolExecutor is ProcessPoolExecutor)\n"
+        )
+        src = str(Path(evolve.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.split("\n")[:3] == ["[]", "[]", "True"]
+
+    def test_pool_class_is_the_real_one(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        assert evolve.ProcessPoolExecutor is ProcessPoolExecutor
+        assert vars(evolve)["ProcessPoolExecutor"] is ProcessPoolExecutor
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            evolve.no_such_name
 
 
 class TestMonteCarloProperties:

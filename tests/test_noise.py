@@ -165,6 +165,12 @@ class TestPhaseAccumulation:
         with pytest.raises(ValueError, match="within"):
             accumulate_phase(trajectory, 1.0, 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nan_and_infinite_times_rejected(self, bad):
+        trajectory = TelegraphTrajectory(1, np.array([0.5]), 1.0)
+        with pytest.raises(ValueError, match="within"):
+            accumulate_phases(trajectory, 1.0, np.array([bad, 1.0]))
+
     def test_mean_phase_factor_matches_decay_factor(self):
         spec = TelegraphSpec(gamma=1.0)
         nu, t = 2.0, 1.2
@@ -293,6 +299,14 @@ class TestBlockPhases:
         with pytest.raises(ValueError, match="within"):
             accumulate_block_phases(block, 1.0, np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nan_and_infinite_times_rejected(self, bad):
+        # NaN fails both the lower and the upper comparison
+        block = sample_telegraph_block(TelegraphSpec(gamma=1.0), 1.0, 4, substream(0, 0))
+        for times in ([bad, 1.0], [0.0, bad], [bad]):
+            with pytest.raises(ValueError, match="within"):
+                accumulate_block_phases(block, 1.0, np.array(times))
+
 
 class TestDecayFactor:
     def test_unity_at_time_zero(self):
@@ -417,11 +431,32 @@ class TestBessel:
         i1 = special.i1(x)
         assert np.max(np.abs(bessel_i1(x) - i1) / np.maximum(i1, 1e-300)) <= 1e-12
 
+    def test_array_entries_equal_scalar_calls(self):
+        # the asymptotic series stops at each entry's own smallest term, so an
+        # entry does not depend on the others in its array
+        x = np.array([15.5, 16.0, 22.0, 40.0, 700.0, 0.5, -18.0, 3.0])
+        for bessel in (bessel_i0, bessel_i1):
+            together = bessel(x)
+            assert np.array_equal(together, [bessel(float(v)) for v in x])
+            assert np.array_equal(together[:4], bessel(x[:4]))
+            assert np.array_equal(together[3:5], bessel(x[3:5]))
+
     def test_parity(self):
         assert bessel_i0(-3.0) == bessel_i0(3.0)
         assert bessel_i1(-3.0) == -bessel_i1(3.0)
         assert bessel_i0(0.0) == 1.0
         assert bessel_i1(0.0) == 0.0
+
+
+def _density_in_floats(nu, gamma, t, phi):
+    """The continuous phase density at one ``phi``, in Python floats."""
+    window = nu * t
+    if abs(phi) >= window:
+        return 0.0
+    w = math.sqrt(1.0 - (phi / window) ** 2)
+    u = gamma * t * w
+    i1_over_u = 0.5 + u * u / 16.0 if u < 1e-6 else bessel_i1(u) / u
+    return 0.5 * math.exp(-gamma * t) * (gamma / nu) * (gamma * t * i1_over_u + bessel_i0(u))
 
 
 class TestPhaseDensity:
@@ -463,6 +498,43 @@ class TestPhaseDensity:
             )
             atoms = 2.0 * telegraph_phase_density(nu, gamma, t, 0.0).atom_weight * math.cos(nu * t)
             assert abs(cont + atoms - decay_factor(nu, gamma, t)) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "gamma, nu, t, odd",
+        # at each ``odd`` phase a Python float's ``** 2``, which goes through
+        # libm's pow, and ``x * x`` round differently enough to move the density
+        [
+            (1.0, 2.0, 1.0, [1.8320168020730474]),
+            (30.0, 1.0, 2.0, [1.8022226055270352, 0.9868005249540817]),
+        ],
+    )
+    def test_array_equals_plain_float_formula(self, gamma, nu, t, odd):
+        phi = np.concatenate([np.linspace(-1.1 * nu * t, 1.1 * nu * t, 401), odd])
+        density = telegraph_phase_density(nu, gamma, t, phi).continuous_density
+        assert np.array_equal(density, [_density_in_floats(nu, gamma, t, p) for p in phi])
+
+    @pytest.mark.parametrize(
+        "gamma, nu, t",
+        # gamma 1e-9 keeps every u below 1e-6; gamma t = 30 spans the Bessel
+        # series and its asymptotic form
+        [(1.0, 2.0, 1.0), (1e-9, 1.0, 1.0), (30.0, 0.5, 1.0), (0.5, 3.0, 4.0)],
+    )
+    def test_array_equals_scalar_element_by_element(self, gamma, nu, t):
+        window = nu * t
+        inner = np.nextafter(window, 0.0)
+        edges = [window, -window, inner, -inner, window * (1 - 1e-12), 0.0, 2.0 * window]
+        phi = np.concatenate([np.linspace(-1.1 * window, 1.1 * window, 203), edges])
+        # the entries just inside the window take the u < 1e-6 branch
+        assert gamma * t * math.sqrt(1.0 - (inner / window) ** 2) < 1e-6
+        value = telegraph_phase_density(nu, gamma, t, phi.reshape(30, 7))
+        assert value.continuous_density.shape == (30, 7)
+        scalars = [telegraph_phase_density(nu, gamma, t, float(p)) for p in phi]
+        density = value.continuous_density.ravel()
+        assert np.array_equal(density, [v.continuous_density for v in scalars])
+        assert all(v.atom_weight == value.atom_weight for v in scalars)
+        # zero on the window's edges, positive just inside them
+        assert density[-7] == density[-6] == 0.0
+        assert density[-5] > 0.0 and density[-4] > 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
