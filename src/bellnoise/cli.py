@@ -14,11 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 from .errors import InvalidStateError, NumericalError
+from .evolve import TOPOLOGIES
 from .scenarios import (
+    METHODS,
+    NOISE_KINDS,
     PRESETS,
+    QUANTITIES,
     ScenarioConfig,
     compare_methods,
     emit_csv,
@@ -34,7 +39,7 @@ EXIT_TOLERANCE = 2
 EXIT_NUMERICAL = 3
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -43,44 +48,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# argparse destination -> ScenarioConfig field
-_FLAG_TO_FIELD = {
-    "noise": "noise_kind",
-    "topology": "topology",
-    "method": "method",
-    "nu": "nu",
-    "gamma": "gamma",
-    "c0": "c0",
-    "delta_c": "delta_c",
-    "t_max": "t_max",
-    "points": "n_points",
-    "samples": "n_samples",
-    "nodes": "quad_nodes",
-    "seed": "seed",
-    "workers": "workers",
-    "threshold": "threshold",
-    "out": "output_path",
-}
-
-
 def _add_scenario_flags(parser, include_method=True):
+    # each flag's dest is the ScenarioConfig field it sets
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--noise", choices=("static", "rtn"))
-    parser.add_argument("--topology", choices=("separate", "common"))
+    parser.add_argument("--noise", dest="noise_kind", choices=NOISE_KINDS)
+    parser.add_argument("--topology", choices=TOPOLOGIES)
     if include_method:
-        parser.add_argument("--method", choices=("mc", "quadrature", "closed_form"))
+        parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--nu", type=float)
     parser.add_argument("--gamma", type=float)
     parser.add_argument("--c0", type=float)
-    parser.add_argument("--delta-c", dest="delta_c", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=float)
-    parser.add_argument("--points", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--nodes", type=int)
+    parser.add_argument("--delta-c", type=float)
+    parser.add_argument("--t-max", type=float)
+    parser.add_argument("--points", dest="n_points", type=int)
+    parser.add_argument("--samples", dest="n_samples", type=int)
+    parser.add_argument("--nodes", dest="quad_nodes", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--workers", type=int)
     parser.add_argument("--threshold", type=float)
-    parser.add_argument("--out", help="output path")
+    parser.add_argument("--out", dest="output_path", help="output path")
 
 
 def build_parser():
@@ -99,11 +85,7 @@ def build_parser():
 
     features = commands.add_parser("features", help="sudden-death / revival report")
     _add_scenario_flags(features)
-    features.add_argument(
-        "--quantity",
-        choices=("negativity", "discord", "mutual_info", "classical"),
-        default="negativity",
-    )
+    features.add_argument("--quantity", choices=QUANTITIES, default="negativity")
 
     preset = commands.add_parser("preset", help="run a named preset (both topologies)")
     preset.add_argument("name", choices=sorted(PRESETS))
@@ -113,37 +95,31 @@ def build_parser():
 
 
 def _resolve_config(args, base=None):
-    values = {}
-    if base is not None:
-        values.update(base)
+    values = dict(base or {})
     if getattr(args, "config", None):
         values.update(parse_config_file(Path(args.config).read_text()))
-    for dest, field_name in _FLAG_TO_FIELD.items():
-        provided = getattr(args, dest, None)
+    for f in fields(ScenarioConfig):
+        provided = getattr(args, f.name, None)
         if provided is not None:
-            values[field_name] = provided
-    known = {f.name for f in fields(ScenarioConfig)}
-    values = {key: value for key, value in values.items() if key in known}
-    cfg = ScenarioConfig(**values)
-    cfg.validate()
-    return cfg
+            values[f.name] = provided
+    return ScenarioConfig(**values)
 
 
-def _write_outputs(curve, cfg):
-    text = emit_csv(curve)
-    if cfg.output_path:
-        path = Path(cfg.output_path)
-        path.write_text(text)
-        Path(str(path) + ".config").write_text(resolved_config_text(cfg))
-        print(f"wrote {path}")
-    else:
+def _write(text, path, cfg=None):
+    """Write ``text`` to ``path`` (and ``cfg`` to its ``.config`` sidecar), or to stdout."""
+    if not path:
         sys.stdout.write(text)
+        return
+    path = Path(path)
+    path.write_text(text)
+    if cfg is not None:
+        Path(f"{path}.config").write_text(resolved_config_text(cfg))
+    print(f"wrote {path}")
 
 
 def _cmd_simulate(args):
     cfg = _resolve_config(args)
-    curve = run_scenario(cfg)
-    _write_outputs(curve, cfg)
+    _write(emit_csv(run_scenario(cfg)), cfg.output_path, cfg)
     return EXIT_OK
 
 
@@ -151,17 +127,10 @@ def _cmd_compare(args):
     if not args.method:
         raise _UsageError("compare needs --method with a comma-separated list")
     methods = [name.strip() for name in args.method.split(",") if name.strip()]
-    if len(set(methods)) < 2:
-        raise _UsageError(f"compare needs at least two distinct methods, got {methods}")
-    args.method = methods[0]
+    args.method = methods[0] if methods else None
     cfg = _resolve_config(args)
     report = compare_methods(cfg, methods, tolerance=args.tolerance)
-    text = report.render()
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
-        print(f"wrote {cfg.output_path}")
-    else:
-        sys.stdout.write(text)
+    _write(report.render(), cfg.output_path)
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
@@ -172,27 +141,21 @@ def _cmd_features(args):
     lines = [f"features of {args.quantity} at threshold {cfg.threshold:g}"]
     if not found.death_times:
         lines.append("no deaths detected")
-    for k, (death, peak) in enumerate(
-        zip(found.death_times, found.revival_peaks + [None] * len(found.death_times)), start=1
-    ):
+    # a death may have no revival after it, never the reverse
+    for k, (death, peak) in enumerate(zip_longest(found.death_times, found.revival_peaks), 1):
         lines.append(f"death {k}: nt={death!r}")
         if peak is not None:
             lines.append(f"revival {k}: nt={peak[0]!r} value={peak[1]!r}")
-    text = "\n".join(lines) + "\n"
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
-        print(f"wrote {cfg.output_path}")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", cfg.output_path)
     return EXIT_OK
 
 
 def _cmd_preset(args):
     # precedence as in simulate: preset < config file < flags; the topology
     # loop and the output directory decide the rest
-    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir = Path(args.output_path) if args.output_path else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    topologies = (args.topology,) if args.topology else ("separate", "common")
+    topologies = (args.topology,) if args.topology else TOPOLOGIES
     base = dict(PRESETS[args.name], preset=args.name)
     for topology in topologies:
         cfg = replace(
@@ -200,8 +163,7 @@ def _cmd_preset(args):
             topology=topology,
             output_path=str(out_dir / f"{args.name}-{topology}.csv"),
         )
-        curve = run_scenario(cfg)
-        _write_outputs(curve, cfg)
+        _write(emit_csv(run_scenario(cfg)), cfg.output_path, cfg)
     return EXIT_OK
 
 
@@ -218,9 +180,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (InvalidStateError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

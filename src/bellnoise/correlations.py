@@ -108,12 +108,12 @@ class MeasurementOptimum:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All four correlation measures of one state, in bits (negativity unitless)."""
+    """All four measures in bits (negativity unitless): floats, or ``(n,)`` arrays for a stack."""
 
-    negativity: float
-    mutual_info: float
-    classical: float
-    discord: float
+    negativity: float | np.ndarray
+    mutual_info: float | np.ndarray
+    classical: float | np.ndarray
+    discord: float | np.ndarray
 
 
 def _negativities(states):
@@ -443,20 +443,20 @@ def discord(rho, settings=None):
 def measure_correlations(rho, settings=None):
     """All four measures of one state, or of each state of an ``(n, 4, 4)`` stack.
 
-    Returns one :class:`CorrelationReport` for a ``(4, 4)`` state and a list
-    of ``n`` reports for a stack.  Each report equals, bit for bit, the one
-    its state gives alone.  The report stores the raw total-minus-classical
-    difference as discord (it may be negative down to the 1e-6 optimizer
-    floor).  A failure in a stack carries the position of the first failing
-    state as the exception's ``index``.
+    Returns one :class:`CorrelationReport`: of floats for a ``(4, 4)`` state,
+    of ``(n,)`` arrays for a stack.  Entry ``i`` of each array equals, bit for
+    bit, the float state ``i`` gives alone.  The report stores the raw
+    total-minus-classical difference as discord (it may be negative down to
+    the 1e-6 optimizer floor).  A failure in a stack carries the position of
+    the first failing state as the exception's ``index``.
     """
     states = np.asarray(rho, dtype=complex)
-    single = states.ndim == 2
     columns = _earliest_failure_score(
         states.reshape((-1,) + states.shape[-2:]), settings or OptimizerSettings()
     )
-    reports = [CorrelationReport(*row) for row in zip(*(column.tolist() for column in columns))]
-    return reports[0] if single else reports
+    if states.ndim == 2:
+        columns = (float(column[0]) for column in columns)
+    return CorrelationReport(*columns)
 
 
 def dephased_bell_discord(mean_phase_factor):

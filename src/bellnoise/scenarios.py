@@ -1,17 +1,20 @@
 """Scenario layer: configs, curves over time grids, features, CSV output.
 
 A scenario fixes the noise kind, environment topology, evolution method and
-its parameters; running it produces a :class:`Curve` of correlation reports
-on a uniform grid of dimensionless times ``nu * t``.  Methods differ only in
-how the averaged state is produced; the correlation measures are always the
-numeric ones, so closed-form and sampled curves can be compared honestly.
+its parameters; running it produces a :class:`Curve`: the four correlation
+measures as columns over a uniform grid of dimensionless times ``nu * t``,
+together with the config that made them.  Methods differ only in how the
+averaged state is produced; the correlation measures are always the numeric
+ones, so closed-form and sampled curves can be compared honestly.
 """
 
 from __future__ import annotations
 
-import io
+import ast
 import math
-from dataclasses import dataclass, field, fields, replace
+import re
+import warnings
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -123,25 +126,27 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """Correlation measures on a time grid, with run provenance.
+    """The four correlation measures of one run as columns over its time grid.
 
-    ``times`` holds the dimensionless ``nu * t`` values.
+    ``times`` holds the strictly ascending dimensionless ``nu * t`` values,
+    ``measures`` a :class:`CorrelationReport` whose fields are arrays of the
+    same length, and ``config`` the :class:`ScenarioConfig` of the run.
     """
 
     times: np.ndarray
-    reports: list[CorrelationReport]
-    provenance: dict = field(default_factory=dict)
+    measures: CorrelationReport
+    config: ScenarioConfig
 
     def __post_init__(self):
-        if len(self.times) != len(self.reports):
-            raise ValueError("times and reports must have equal length")
+        if any(len(self.column(quantity)) != len(self.times) for quantity in QUANTITIES):
+            raise ValueError("times and every measure column must have equal length")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly ascending")
 
     def column(self, quantity):
         if quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
-        return np.array([getattr(report, quantity) for report in self.reports])
+        return getattr(self.measures, quantity)
 
 
 @dataclass(frozen=True)
@@ -165,33 +170,7 @@ def _states_for(cfg, times):
     return average(ham, noise, cfg.topology, times, cfg.n_samples, cfg.seed, workers=cfg.workers)
 
 
-def _provenance(cfg):
-    info = {
-        "noise": cfg.noise_kind,
-        "topology": cfg.topology,
-        "method": cfg.method,
-        "nu": cfg.nu,
-        "t_max": cfg.t_max,
-        "n_points": cfg.n_points,
-    }
-    if cfg.noise_kind == "rtn":
-        info["gamma"] = cfg.gamma
-    else:
-        info["c0"] = cfg.c0
-        info["delta_c"] = cfg.delta_c
-    if cfg.method == "mc":
-        info["n_samples"] = cfg.n_samples
-        info["seed"] = cfg.seed
-    if cfg.method == "quadrature":
-        info["quad_nodes"] = cfg.quad_nodes
-    if cfg.preset:
-        info["preset"] = cfg.preset
-    if cfg.notes:
-        info["notes"] = cfg.notes
-    return info
-
-
-def run_scenario(cfg, settings=None):
+def run_scenario(cfg):
     """Run one scenario and return its :class:`Curve`.
 
     Deterministic for a fixed config (including seed).  The whole curve is
@@ -202,12 +181,12 @@ def run_scenario(cfg, settings=None):
     times = np.linspace(0.0, cfg.t_max, cfg.n_points)
     states = _states_for(cfg, times)
     try:
-        reports = measure_correlations(states, settings)
+        measures = measure_correlations(states)
     except SimulationError as exc:
         if exc.index is None:
             raise
         raise type(exc)(f"at nt={cfg.nu * times[exc.index]:.6g}: {exc}") from exc
-    return Curve(times=cfg.nu * times, reports=reports, provenance=_provenance(cfg))
+    return Curve(times=cfg.nu * times, measures=measures, config=cfg)
 
 
 def _vertex_time(times, values, middle):
@@ -259,16 +238,14 @@ def find_deaths_and_revivals(times, values, threshold):
             continue
         if values[i] < threshold:
             # dead zone: confirmed as a death only if the curve recovers
-            entry = i - 1
             j = i
             while j < n and values[j] < threshold:
                 j += 1
             if j < n:
-                zone = slice(i, j)
-                low = i + int(np.argmin(values[zone]))
-                deaths.append(_vertex_time(times, values, low) if 0 < low < n - 1
-                              else float(times[low]))
-                entry_indices.append(entry)
+                low = i + int(np.argmin(values[i:j]))
+                # i >= 1 and j < n, so the minimum has a sample on either side
+                deaths.append(_vertex_time(times, values, low))
+                entry_indices.append(i - 1)
                 resume_indices.append(j)
             i = j + 1
             continue
@@ -285,10 +262,9 @@ def find_deaths_and_revivals(times, values, threshold):
     peaks = []
     for k, resume in enumerate(resume_indices):
         stop = entry_indices[k + 1] + 1 if k + 1 < len(entry_indices) else n
-        window = slice(resume, stop)
-        if window.start >= stop:
+        if resume >= stop:
             continue
-        peak_index = resume + int(np.argmax(values[window]))
+        peak_index = resume + int(np.argmax(values[resume:stop]))
         peaks.append((float(times[peak_index]), float(values[peak_index])))
     return CurveFeatures(death_times=deaths, revival_peaks=peaks)
 
@@ -305,17 +281,12 @@ def emit_csv(curve):
     text back yields bit-identical values and the byte stream is
     deterministic for fixed inputs.
     """
-    method = curve.provenance.get("method", "")
-    topology = curve.provenance.get("topology", "")
-    noise = curve.provenance.get("noise", "")
-    out = io.StringIO()
-    out.write("nt,negativity,discord,mutual_info,classical,method,topology,noise\n")
-    for nt, report in zip(curve.times, curve.reports):
-        out.write(
-            f"{float(nt)!r},{report.negativity!r},{report.discord!r},"
-            f"{report.mutual_info!r},{report.classical!r},{method},{topology},{noise}\n"
-        )
-    return out.getvalue()
+    cfg = curve.config
+    labels = f",{cfg.method},{cfg.topology},{cfg.noise_kind}\n"
+    # tolist() first: numpy 2 reprs its scalars as np.float64(...)
+    columns = [curve.times.tolist()] + [curve.column(q).tolist() for q in QUANTITIES]
+    header = "nt,negativity,discord,mutual_info,classical,method,topology,noise\n"
+    return header + "".join(",".join(map(repr, row)) + labels for row in zip(*columns))
 
 
 def parse_csv(text):
@@ -359,31 +330,36 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def compare_methods(cfg, methods, tolerance=None, settings=None):
+def compare_methods(cfg, methods, tolerance=None):
     """Run the same scenario under several methods and compare the curves.
 
     The default tolerance is 5e-3 for any pair involving Monte Carlo and
-    1e-9 otherwise.  A given tolerance must be finite and nonnegative.
+    1e-9 otherwise.  A given tolerance must be finite and nonnegative.  Every
+    method's config is validated before any curve runs.
     """
     unique = sorted(set(methods))
     if len(unique) < 2:
         raise ValueError(f"compare needs at least two distinct methods, got {list(methods)}")
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
-    curves = {m: run_scenario(replace(cfg, method=m), settings=settings) for m in unique}
+    configs = {m: replace(cfg, method=m) for m in unique}
+    for config in configs.values():
+        config.validate()
+    curves = {m: run_scenario(config) for m, config in configs.items()}
     rows = []
     for first, second in combinations(unique, 2):
         tol = tolerance if tolerance is not None else (5e-3 if "mc" in (first, second) else 1e-9)
         for quantity in QUANTITIES:
             deviation = np.abs(curves[first].column(quantity) - curves[second].column(quantity))
+            worst = float(deviation.max())
             rows.append(
                 ComparisonRow(
                     pair=(first, second),
                     quantity=quantity,
-                    max_deviation=float(deviation.max()),
+                    max_deviation=worst,
                     mean_deviation=float(deviation.mean()),
                     tolerance=tol,
-                    passed=bool(deviation.max() <= tol),
+                    passed=worst <= tol,
                 )
             )
     return ComparisonReport(rows=rows, passed=all(row.passed for row in rows))
@@ -425,12 +401,8 @@ def preset_config(name, topology, **overrides):
     """Scenario config for a named preset and topology, with overrides."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}, expected one of {sorted(PRESETS)}")
-    params = dict(PRESETS[name])
-    params.update(overrides)
+    params = {**PRESETS[name], **overrides}
     return ScenarioConfig(topology=topology, preset=name, **params)
-
-
-_CONFIG_SKIP = ("preset", "notes")
 
 
 def resolved_config_text(cfg):
@@ -438,14 +410,21 @@ def resolved_config_text(cfg):
     lines = []
     for f in sorted(fields(cfg), key=lambda f: f.name):
         value = getattr(cfg, f.name)
-        if value is None or f.name in _CONFIG_SKIP and not value:
+        if value is None or f.name in ("preset", "notes") and not value:
             continue
         lines.append(f"{f.name}={value!r}" if isinstance(value, str) else f"{f.name}={value}")
     return "\n".join(lines) + "\n"
 
 
+# a quoted value as repr writes it, then an optional comment
+_QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
+
+
 def parse_config_file(text):
-    """Parse a key=value config file (one pair per line, '#' comments)."""
+    """Parse a key=value config file (one pair per line, '#' comments).
+
+    A quoted value is read as a Python string literal, '#' and backslashes included.
+    """
     known = {f.name: f for f in fields(ScenarioConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -454,7 +433,7 @@ def parse_config_file(text):
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = (part.strip() for part in raw.split("=", 1))
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         out[key] = _coerce_field(known[key], value, lineno)
@@ -462,13 +441,19 @@ def parse_config_file(text):
 
 
 def _coerce_field(spec, value, lineno):
-    text = value.strip().strip("'\"")
-    kind = spec.type
+    quoted = _QUOTED.fullmatch(value)
+    if not quoted:
+        value = value.split("#")[0].strip()
     try:
-        if kind in ("int", int) or kind == "int | None":
+        with warnings.catch_warnings():
+            # an escape Python only warns about, like the \d of 'C:\data', is an error
+            warnings.simplefilter("error")
+            text = ast.literal_eval(quoted[1]) if quoted else value.strip("'\"")
+        # annotations are strings here (postponed evaluation): "int", "float | None", ...
+        if spec.type.startswith("int"):
             return int(text)
-        if kind in ("float", float) or kind == "float | None":
+        if spec.type.startswith("float"):
             return float(text)
         return text
-    except ValueError as exc:
+    except (SyntaxError, ValueError) as exc:
         raise ValueError(f"config line {lineno}: cannot parse {spec.name}={value!r}") from exc

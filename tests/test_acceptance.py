@@ -16,6 +16,7 @@ import pytest
 from scipy import integrate
 
 import bellnoise as bn
+from bellnoise.noise import accumulate_block_phases, sample_telegraph_block
 
 NU = 1.0
 HAM = bn.HamiltonianSpec(nu=NU)
@@ -267,12 +268,10 @@ class TestCriterion06PhaseDistribution:
         gamma, nu, t = 1.0, 2.0, 1.0
         spec = bn.TelegraphSpec(gamma=gamma)
         n = 100_000
-        phases = []
-        for i in range(n):
-            trajectory = bn.sample_telegraph_trajectory(spec, t, bn.substream(606, i))
-            if trajectory.flip_times.size:
-                phases.append(bn.accumulate_phase(trajectory, nu, t))
-        phases = np.sort(phases)
+        # one draw of n trajectories; each row is one sample_telegraph_trajectory
+        block = sample_telegraph_block(spec, t, n, bn.substream(606, 0))
+        interior = np.any(block.flips < t, axis=1)
+        phases = np.sort(accumulate_block_phases(block, nu, np.array([t]))[interior, 0])
         grid = np.linspace(-nu * t, nu * t, 8193)
         density = bn.telegraph_phase_density(nu, gamma, t, grid).continuous_density
         cdf = integrate.cumulative_trapezoid(density, grid, initial=0.0)

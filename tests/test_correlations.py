@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from bellnoise import correlations
 from bellnoise.correlations import (
-    CorrelationReport,
     OptimizerSettings,
     _bound_coefficients,
     _entropies_after,
@@ -430,11 +430,11 @@ class TestStackScoring:
 
     @staticmethod
     def _assert_alone_equal(states):
-        reports = measure_correlations(states)
-        assert isinstance(reports, list) and len(reports) == len(states)
-        for state, report in zip(states, reports):
-            # dataclass equality compares the four floats exactly
-            assert report == measure_correlations(state)
+        columns = np.array(astuple(measure_correlations(states)))
+        assert columns.shape == (4, len(states))
+        for state, row in zip(states, columns.T):
+            # list equality compares the four floats exactly
+            assert row.tolist() == list(astuple(measure_correlations(state)))
 
     def test_random_full_rank_states(self, rng):
         self._assert_alone_equal(np.stack([random_density(rng) for _ in range(20)]))
@@ -446,9 +446,11 @@ class TestStackScoring:
             self._assert_alone_equal(_states_for(cfg, np.linspace(0.0, cfg.t_max, 21)))
 
     def test_one_state_gives_one_report(self):
-        report = measure_correlations(dephased_bell_state(0.5))
-        assert isinstance(report, CorrelationReport)
-        assert measure_correlations(dephased_bell_state(np.array([0.5]))) == [report]
+        # of floats; a stack of one state gives one report of length-1 arrays
+        report = astuple(measure_correlations(dephased_bell_state(0.5)))
+        assert all(type(value) is float for value in report)
+        columns = measure_correlations(dephased_bell_state(np.array([0.5])))
+        assert np.array(astuple(columns)).tolist() == [[value] for value in report]
 
     def test_failure_names_the_first_invalid_state(self):
         states = dephased_bell_state(np.linspace(0.0, 1.0, 6))

@@ -81,12 +81,8 @@ class TestTelegraphSampler:
         spec = TelegraphSpec(gamma=2.5)
         horizon = 2.0
         n = 20_000
-        counts = np.array(
-            [
-                len(sample_telegraph_trajectory(spec, horizon, substream(7, i)).flip_times)
-                for i in range(n)
-            ]
-        )
+        block = sample_telegraph_block(spec, horizon, n, substream(7, 0))
+        counts = np.count_nonzero(block.flips < horizon, axis=1)
         lam = spec.gamma * horizon
         assert abs(counts.mean() - lam) <= 3.0 * math.sqrt(lam / n)
 
@@ -112,11 +108,8 @@ class TestTelegraphSampler:
     def test_initial_value_unbiased(self):
         spec = TelegraphSpec(gamma=1.0)
         n = 20_000
-        values = [
-            sample_telegraph_trajectory(spec, 0.1, substream(29, i)).initial_value
-            for i in range(n)
-        ]
-        assert abs(np.mean(values)) <= 3.0 / math.sqrt(n)
+        block = sample_telegraph_block(spec, 0.1, n, substream(29, 0))
+        assert abs(np.mean(block.initial)) <= 3.0 / math.sqrt(n)
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
@@ -175,10 +168,8 @@ class TestPhaseAccumulation:
         spec = TelegraphSpec(gamma=1.0)
         nu, t = 2.0, 1.2
         n = 20_000
-        values = np.empty(n, dtype=complex)
-        for i in range(n):
-            trajectory = sample_telegraph_trajectory(spec, t, substream(31, i))
-            values[i] = np.exp(1j * accumulate_phase(trajectory, nu, t))
+        block = sample_telegraph_block(spec, t, n, substream(31, 0))
+        values = np.exp(1j * accumulate_block_phases(block, nu, np.array([t]))[:, 0])
         spread = values.std() / math.sqrt(n)
         assert abs(values.mean() - decay_factor(nu, spec.gamma, t)) <= 3.0 * spread + 1e-12
 

@@ -2,7 +2,7 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellnoise import cli
-from bellnoise.correlations import OptimizerSettings, measure_correlations
+from bellnoise.correlations import CorrelationReport, OptimizerSettings
+from bellnoise.correlations import measure_correlations as measure_stack
 from bellnoise.errors import InvalidStateError, NumericalError
 from bellnoise.linalg import validate_state
 from bellnoise.noise import TelegraphSpec, decay_factor
@@ -130,8 +131,8 @@ class TestRunScenario:
     def test_grid_containing_zero_starts_maximal(self):
         curve = run_scenario(rtn_config())
         assert curve.times[0] == 0.0
-        assert curve.reports[0].negativity == pytest.approx(1.0, abs=1e-9)
-        assert curve.reports[0].discord == pytest.approx(1.0, abs=1e-9)
+        assert curve.column("negativity")[0] == pytest.approx(1.0, abs=1e-9)
+        assert curve.column("discord")[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_times_reported_in_dimensionless_units(self):
         cfg = rtn_config(nu=2.0, gamma=0.4, t_max=3.0, n_points=4)
@@ -141,8 +142,8 @@ class TestRunScenario:
     def test_provenance_records_method_and_seed(self):
         cfg = rtn_config(method="mc", n_samples=512, seed=77, t_max=1.0, n_points=3)
         curve = run_scenario(cfg)
-        assert curve.provenance["method"] == "mc"
-        assert curve.provenance["seed"] == 77
+        assert curve.config.method == "mc"
+        assert curve.config.seed == 77
 
     def test_deterministic_for_fixed_config(self):
         cfg = rtn_config(method="mc", n_samples=1024, seed=5, t_max=2.0, n_points=5)
@@ -172,11 +173,15 @@ class TestRunScenario:
         assert np.max(np.abs(classical - 1.0)) <= 1e-12
         assert np.max(np.abs(excess)) <= 1e-12
 
-    def test_numerical_failure_carries_time_context(self):
+    def test_numerical_failure_carries_time_context(self, monkeypatch):
         # one search step cannot reach the step floor, so every point fails
         # and the message names the first
+        def one_step(states):
+            return measure_stack(states, OptimizerSettings(max_iterations=1))
+
+        monkeypatch.setattr("bellnoise.scenarios.measure_correlations", one_step)
         with pytest.raises(NumericalError, match=r"^at nt=0: measurement optimisation"):
-            run_scenario(rtn_config(n_points=3), settings=OptimizerSettings(max_iterations=1))
+            run_scenario(rtn_config(n_points=3))
 
     def test_failure_context_names_the_first_failing_point(self, monkeypatch):
         import bellnoise.scenarios as scenarios
@@ -192,6 +197,33 @@ class TestRunScenario:
         monkeypatch.setattr(scenarios, "_states_for", one_bad_state)
         with pytest.raises(InvalidStateError, match=r"^at nt=3: invalid density matrix"):
             run_scenario(cfg)
+
+
+class TestCurve:
+    @staticmethod
+    def _measures(length):
+        column = np.zeros(length)
+        return CorrelationReport(column, column, column, column[:3])
+
+    def test_rejects_a_column_whose_length_differs_from_times(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Curve(np.arange(4.0), self._measures(4), rtn_config())
+        Curve(np.arange(3.0), self._measures(3), rtn_config())
+
+    @pytest.mark.parametrize("times", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+    def test_rejects_times_that_do_not_strictly_ascend(self, times):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Curve(np.array(times), self._measures(3), rtn_config())
+
+
+def measure_correlations(states):
+    """One report of floats per state of a stack, for the route-property test.
+
+    That test reads a list of reports, as stacks were once scored.  Its source
+    stays as it was, so Hypothesis, which derandomises from the source, keeps
+    drawing the same examples, and its bounds stay as they were.
+    """
+    return [CorrelationReport(*row) for row in zip(*astuple(measure_stack(states)))]
 
 
 ROUTES = [
@@ -366,6 +398,15 @@ class TestCompareMethods:
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
             compare_methods(static_config(), ["quadrature", "closed_form"], tolerance=tolerance)
 
+    def test_bad_method_config_rejected_before_any_curve_runs(self, monkeypatch):
+        # mc sorts first and is valid for telegraph noise; quadrature is not
+        def never(cfg):
+            raise AssertionError("a curve ran")
+
+        monkeypatch.setattr("bellnoise.scenarios.run_scenario", never)
+        with pytest.raises(ValueError, match="quadrature is only defined for static noise"):
+            compare_methods(rtn_config(method="mc", n_samples=512), ["mc", "quadrature"])
+
 
 class TestPresetsAndConfigFiles:
     def test_unknown_preset_rejected(self):
@@ -376,13 +417,14 @@ class TestPresetsAndConfigFiles:
         cfg = preset_config("fig1-static", "separate")
         assert "qualitative" in cfg.notes
         curve = run_scenario(replace(cfg, n_points=3))
-        assert "qualitative" in curve.provenance["notes"]
+        assert "qualitative" in curve.config.notes
 
     def test_config_text_round_trips(self):
-        cfg = rtn_config(method="mc", n_samples=2048, seed=9, output_path="x.csv")
-        parsed = parse_config_file(resolved_config_text(cfg))
-        rebuilt = ScenarioConfig(**parsed)
-        assert rebuilt == cfg
+        for path in ("x.csv", "runs/a#3.csv", "C:\\data\\x.csv", "tab\there.csv"):
+            cfg = rtn_config(method="mc", n_samples=2048, seed=9, output_path=path)
+            parsed = parse_config_file(resolved_config_text(cfg))
+            rebuilt = ScenarioConfig(**parsed)
+            assert rebuilt == cfg, path
 
     def test_config_file_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
@@ -395,6 +437,23 @@ class TestPresetsAndConfigFiles:
     def test_config_file_comments_and_blanks(self):
         parsed = parse_config_file("# comment\n\nnu=2.0  # inline\ngamma=0.5\n")
         assert parsed == {"nu": 2.0, "gamma": 0.5}
+
+    @pytest.mark.parametrize(
+        "value", [r"'C:\data'", r"'C:\new\out.csv'", r'"C:\temp\x.csv"']
+    )
+    def test_config_file_rejects_a_single_backslash_path(self, value):
+        # \d, \o and \x. are invalid escapes: an error, not a misread path
+        with pytest.raises(ValueError, match="config line 1: cannot parse output_path"):
+            parse_config_file(f"output_path={value}\n")
+
+    def test_config_file_reads_escapes_as_repr_writes_them(self):
+        text = r"""output_path='C:\\new\\it\'s\tx.csv'""" + "\nnotes=\"a\\\\b\"\n"
+        parsed = parse_config_file(text)
+        assert parsed == {"output_path": "C:\\new\\it's\tx.csv", "notes": "a\\b"}
+
+    def test_config_file_comment_after_a_quoted_value(self):
+        parsed = parse_config_file("notes='a # b'  # c\noutput_path=\"d#e\" \nmethod=mc # f\n")
+        assert parsed == {"notes": "a # b", "output_path": "d#e", "method": "mc"}
 
 
 def run_cli(*args, cwd=None):
