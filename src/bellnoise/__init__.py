@@ -3,7 +3,6 @@
 from .correlations import (
     CorrelationReport,
     MeasurementOptimum,
-    OptimizerSettings,
     classical_correlations,
     conditional_entropy,
     dephased_bell_discord,

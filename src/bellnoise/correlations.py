@@ -2,8 +2,11 @@
 
 Negativity comes from the partial transpose, mutual information from von
 Neumann entropies, and classical correlations from a maximisation over
-projective measurements on qubit B (coarse angular grid followed by a
-derivative-free pattern search).  Discord is total minus classical.
+projective measurements on qubit B.  Discord is total minus classical.  The
+search has one fixed configuration: a grid of 64 polar by 128 azimuthal
+angles, then a derivative-free pattern search that halves its step until it
+falls below 1e-6, and raises :class:`NumericalError` if that takes more than
+200 iterations.
 
 The conditional states of the search are linear in the direction: measuring
 ``(I +- n.sigma)/2`` on B leaves A in ``rho_A / 2 +- sum_mu n_mu R_mu`` (before
@@ -69,32 +72,11 @@ _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 # conditional states, stays at 128 KiB.
 _GRID_SLICE = 2048
 
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Grid-then-refine settings for the measurement maximisation.
-
-    Raises ``ValueError`` for a grid with fewer than 2 polar or 1 azimuthal
-    points, a step floor that is not finite and positive, or no iteration.
-    """
-
-    theta_points: int = 64
-    phi_points: int = 128
-    step_floor: float = 1e-6
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        problems = []
-        if not self.theta_points >= 2:
-            problems.append(f"theta_points must be >= 2, got {self.theta_points}")
-        if not self.phi_points >= 1:
-            problems.append(f"phi_points must be >= 1, got {self.phi_points}")
-        if not (math.isfinite(self.step_floor) and self.step_floor > 0):
-            problems.append(f"step_floor must be finite and positive, got {self.step_floor}")
-        if not self.max_iterations >= 1:
-            problems.append(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if problems:
-            raise ValueError("invalid optimizer settings: " + "; ".join(problems))
+# the measurement search's one configuration (see the module docstring)
+_THETA_POINTS = 64
+_PHI_POINTS = 128
+_STEP_FLOOR = 1e-6
+_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -224,11 +206,11 @@ def conditional_entropy(rho, directions):
     return total.reshape(batch_shape) if batch_shape else float(total[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _measurement_grid(theta_points, phi_points):
+@functools.cache
+def _measurement_grid():
     """Read-only ``(theta, phi, directions)`` arrays of the coarse search grid."""
-    thetas = np.linspace(0.0, math.pi, theta_points)
-    phis = np.arange(phi_points) * (2.0 * math.pi / phi_points)
+    thetas = np.linspace(0.0, math.pi, _THETA_POINTS)
+    phis = np.arange(_PHI_POINTS) * (2.0 * math.pi / _PHI_POINTS)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     grid = (tt, pp, bloch_direction(tt, pp))
     for array in grid:
@@ -243,10 +225,10 @@ def _monomials(directions):
     return np.stack([x, y, z, x * x, y * y, z * z, x * y, x * z, y * z])
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_monomials(theta_points, phi_points):
+@functools.cache
+def _grid_monomials():
     """Read-only :func:`_monomials` of the flattened search grid."""
-    monomials = _monomials(_measurement_grid(theta_points, phi_points)[2].reshape(-1, 3))
+    monomials = _monomials(_measurement_grid()[2].reshape(-1, 3))
     monomials.flags.writeable = False
     return monomials
 
@@ -308,20 +290,20 @@ def _entropy_bound(trace, slope, even, odd, monomials):
     return bound
 
 
-def _search(parts, entropy_a, cfg):
+def _search(parts, entropy_a):
     """Maximise ``S(A) - S(A|B)`` over measurements for each of a stack of states.
 
     ``parts`` are the states' measurement parts (:func:`_measurement_parts`)
     and ``entropy_a`` their ``S(A)``.  Each state takes the best direction of
     the coarse grid, then a pattern search that halves its step until it
-    drops below ``step_floor``; all states search in lockstep.  Returns the
+    drops below ``_STEP_FLOOR``; all states search in lockstep.  Returns the
     ``(value, theta, phi_az)`` arrays.  Raises :class:`NumericalError`,
     indexed by the first such state, if a state has not reached the step
     floor within the iteration cap.
     """
-    tt, pp, grid = _measurement_grid(cfg.theta_points, cfg.phi_points)
+    tt, pp, grid = _measurement_grid()
     directions = grid.reshape(-1, 3)
-    monomials = _grid_monomials(cfg.theta_points, cfg.phi_points)
+    monomials = _grid_monomials()
     coefficients = [column.tolist() for column in _bound_coefficients(parts)]
     count = len(entropy_a)
     value, theta, phi_az = np.empty(count), np.empty(count), np.empty(count)
@@ -336,10 +318,10 @@ def _search(parts, entropy_a, cfg):
         best = kept[pick]
         value[i], theta[i], phi_az[i] = values[pick], tt.flat[best], pp.flat[best]
 
-    step = np.full(count, max(math.pi / (cfg.theta_points - 1), 2.0 * math.pi / cfg.phi_points))
+    step = np.full(count, max(math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS))
     active = np.arange(count)
-    for _ in range(cfg.max_iterations):
-        active = active[step[active] >= cfg.step_floor]
+    for _ in range(_MAX_ITERATIONS):
+        active = active[step[active] >= _STEP_FLOOR]
         if not active.size:
             break
         t, p, s = theta[active], phi_az[active], step[active]
@@ -366,26 +348,24 @@ def _search(parts, entropy_a, cfg):
         if active.size:
             first = int(active[0])
             raise NumericalError(
-                f"measurement optimisation did not reach step floor {cfg.step_floor:g} "
-                f"within {cfg.max_iterations} iterations (step {step[first]:.3e})",
+                f"measurement optimisation did not reach step floor {_STEP_FLOOR:g} "
+                f"within {_MAX_ITERATIONS} iterations (step {step[first]:.3e})",
                 index=first,
             )
     return value, theta, phi_az
 
 
-def classical_correlations(rho, settings=None):
+def classical_correlations(rho):
     """Maximal classical correlations extracted by projective measurements on B.
 
-    Coarse grid over the Bloch sphere, then a pattern search that halves its
-    step until it drops below ``step_floor``.  Raises :class:`NumericalError`
-    if the step floor is not reached within the iteration cap.
+    Coarse 64 x 128 grid over the Bloch sphere, then a pattern search that
+    halves its step until it drops below 1e-6.  Raises
+    :class:`NumericalError` if that takes more than 200 iterations.
     """
     validate_state(rho)
     states = np.asarray(rho, dtype=complex)[None]
-    value, theta, phi_az = _search(
-        _measurement_parts(states), vn_entropy(partial_trace(states, "A")),
-        settings or OptimizerSettings(),
-    )
+    value, theta, phi_az = _search(_measurement_parts(states),
+                                   vn_entropy(partial_trace(states, "A")))
     return MeasurementOptimum(value=float(value[0]), theta=float(theta[0]),
                               phi_az=float(phi_az[0]))
 
@@ -393,7 +373,7 @@ def classical_correlations(rho, settings=None):
 _DISCORD_FLOOR = -1e-6
 
 
-def _score(states, cfg):
+def _score(states):
     """``(negativity, mutual_info, classical, discord)`` arrays of a ``(n, 4, 4)`` stack.
 
     Discord is the raw ``total - classical``; below the floor it raises
@@ -402,7 +382,7 @@ def _score(states, cfg):
     spectra = validate_state(states)
     marginal = _marginal_entropies(states)
     total = marginal[:, 0] + marginal[:, 1] - entropy_bits(spectra)
-    classical, _, _ = _search(_measurement_parts(states), marginal[:, 0], cfg)
+    classical, _, _ = _search(_measurement_parts(states), marginal[:, 0])
     negativities = _negativities(states)
     raw = total - classical
     below = np.flatnonzero(raw < _DISCORD_FLOOR)
@@ -416,7 +396,7 @@ def _score(states, cfg):
     return negativities, total, classical, raw
 
 
-def _earliest_failure_score(states, cfg):
+def _earliest_failure_score(states):
     """:func:`_score`, but a failure names the first state that fails any check.
 
     Each check runs over the whole stack in turn, so the first failure found
@@ -424,23 +404,23 @@ def _earliest_failure_score(states, cfg):
     before it again finds that one.
     """
     try:
-        return _score(states, cfg)
+        return _score(states)
     except SimulationError as exc:
         if exc.index:
-            _earliest_failure_score(states[: exc.index], cfg)
+            _earliest_failure_score(states[: exc.index])
         raise
 
 
-def discord(rho, settings=None):
+def discord(rho):
     """Quantum discord: mutual information minus classical correlations.
 
     Values in ``[-1e-6, 0]`` (optimizer noise) clamp to zero; anything more
     negative signals a bug and raises :class:`NumericalError`.
     """
-    return max(measure_correlations(rho, settings).discord, 0.0)
+    return max(measure_correlations(rho).discord, 0.0)
 
 
-def measure_correlations(rho, settings=None):
+def measure_correlations(rho):
     """All four measures of one state, or of each state of an ``(n, 4, 4)`` stack.
 
     Returns one :class:`CorrelationReport`: of floats for a ``(4, 4)`` state,
@@ -451,9 +431,7 @@ def measure_correlations(rho, settings=None):
     the first failing state as the exception's ``index``.
     """
     states = np.asarray(rho, dtype=complex)
-    columns = _earliest_failure_score(
-        states.reshape((-1,) + states.shape[-2:]), settings or OptimizerSettings()
-    )
+    columns = _earliest_failure_score(states.reshape((-1,) + states.shape[-2:]))
     if states.ndim == 2:
         columns = (float(column[0]) for column in columns)
     return CorrelationReport(*columns)
@@ -467,7 +445,7 @@ def dephased_bell_discord(mean_phase_factor):
     endpoints evaluate exactly to 0 and 1.
     """
     lam = float(mean_phase_factor)
-    if abs(lam) > 1.0 + 1e-12:
+    if not abs(lam) <= 1.0 + 1e-12:  # NaN fails it too
         raise ValueError(f"mean phase factor must lie in [-1, 1], got {lam}")
     a = min(abs(lam), 1.0)
     if a == 0.0:
@@ -487,7 +465,10 @@ def static_negativity(noise, nu, t, topology):
     negative.
     """
     check_topology(topology)
-    x = noise.delta_c * nu * np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValueError("t must be finite and nonnegative")
+    x = noise.delta_c * nu * t
     if topology == "separate":
         out = sinc(x) ** 2
     else:

@@ -88,8 +88,8 @@ class HamiltonianSpec:
     nu: float
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be finite and positive, got {self.nu}")
 
 
 def sinc(x):

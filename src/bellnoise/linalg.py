@@ -30,6 +30,8 @@ BELL_PROJECTOR = np.array(
 )
 
 _HERMITICITY_TOL = 1e-10
+_STATE_TOL = 1e-12
+_EIGENVALUE_FLOOR = -1e-10
 
 
 def kron(a, b):
@@ -112,19 +114,21 @@ def eigvals_two_level(diag_first, diag_second, off):
     return mean - radius, mean + radius
 
 
-def entropy_bits(eigenvalues, floor=-1e-10):
+def entropy_bits(eigenvalues):
     """Shannon entropy (base 2) of a spectrum, with 0*log0 taken as 0.
 
-    A stack of spectra (along the last axis) gives an array of entropies.
+    An eigenvalue below -1e-10 raises :class:`InvalidStateError`.  A stack
+    of spectra (along the last axis) gives an array of entropies.
     The terms are summed in spectrum order with zeros in place, which is
     bit for bit the sum over the positive entries alone.
     """
     w = np.asarray(eigenvalues, dtype=float)
-    below = np.min(w, axis=-1, initial=np.inf) < floor
+    below = np.min(w, axis=-1, initial=np.inf) < _EIGENVALUE_FLOOR
     if np.any(below):
         position = np.unravel_index(int(np.argmax(below)), below.shape)
         raise InvalidStateError(
-            f"eigenvalue {float(np.min(w[position])):.3e} below the positivity floor {floor:.1e}",
+            f"eigenvalue {float(np.min(w[position])):.3e} below the positivity floor "
+            f"{_EIGENVALUE_FLOOR:.1e}",
             index=int(position[0]) if position else None,
         )
     w = np.clip(w, 0.0, 1.0)
@@ -137,14 +141,14 @@ def vn_entropy(rho):
     return entropy_bits(eigvals_hermitian(rho))
 
 
-def validate_state(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
+def validate_state(rho):
     """Check the density-matrix invariants, raising :class:`InvalidStateError`.
 
     Accepts a 2x2 or 4x4 matrix or an ``(n, d, d)`` stack of them, and checks
-    every matrix for finiteness, Hermiticity, unit trace and positivity of
-    the spectrum down to ``eig_floor``.  The error names the first failing
-    matrix of a stack as its ``index``, whichever check it fails.  Returns
-    the ascending spectra.
+    every matrix for finiteness, Hermiticity and unit trace (both to 1e-12)
+    and positivity of the spectrum down to -1e-10.  The error names the
+    first failing matrix of a stack as its ``index``, whichever check it
+    fails.  Returns the ascending spectra.
     """
     a = np.asarray(rho, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] not in (2, 4):
@@ -156,7 +160,7 @@ def validate_state(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
     def fail(i, problems):
         if i:
             # an earlier matrix may fail a check that runs after this one
-            validate_state(stack[:i], herm_tol, trace_tol, eig_floor)
+            validate_state(stack[:i])
         raise InvalidStateError(
             "invalid density matrix: " + "; ".join(problems), index=i if a.ndim == 3 else None
         )
@@ -166,8 +170,8 @@ def validate_state(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
         fail(int(np.argmin(finite)), ["non-finite entries"])
     asymmetry = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
     trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    hermitian = asymmetry <= herm_tol
-    unit_trace = trace_dev <= trace_tol
+    hermitian = asymmetry <= _STATE_TOL
+    unit_trace = trace_dev <= _STATE_TOL
     if not np.all(hermitian & unit_trace):
         i = int(np.argmin(hermitian & unit_trace))
         problems = []
@@ -177,7 +181,7 @@ def validate_state(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
             problems.append(f"trace deviates from 1 by {trace_dev[i]:.3e}")
         fail(i, problems)
     spectra = eigvals_hermitian(stack)
-    negative = spectra[:, 0] < eig_floor
+    negative = spectra[:, 0] < _EIGENVALUE_FLOOR
     if negative.any():
         i = int(np.argmax(negative))
         fail(i, [f"negative eigenvalue {spectra[i, 0]:.3e}"])

@@ -33,8 +33,8 @@ class StaticNoiseSpec:
     delta_c: float
 
     def __post_init__(self):
-        if not self.delta_c > 0:
-            raise ValueError(f"delta_c must be positive, got {self.delta_c}")
+        if not (math.isfinite(self.c0) and math.isfinite(self.delta_c) and self.delta_c > 0):
+            raise ValueError(f"need finite c0 and delta_c > 0, got {self.c0} and {self.delta_c}")
 
     @property
     def low(self):
@@ -52,8 +52,8 @@ class TelegraphSpec:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +110,8 @@ def sample_telegraph_trajectory(spec, horizon, rng):
 def _telegraph_block_width(spec, horizon):
     """Waiting times drawn per trajectory at a time: the mean flip count plus five sigma."""
     mean_flips = spec.gamma * horizon
+    if not math.isfinite(mean_flips):
+        raise ValueError(f"gamma * horizon must be finite, got {spec.gamma:g} * {horizon:g}")
     return max(8, int(mean_flips + 5.0 * math.sqrt(mean_flips) + 8.0))
 
 
@@ -230,33 +232,41 @@ def decay_factor(coupling, gamma, t):
     decay), trigonometric branch for ``gamma < coupling`` (slow switching,
     damped oscillation).  Within a relative 1e-9 of the branch point the
     degenerate limit ``exp(-gamma t) (1 + gamma t)`` is used, since both
-    closed branches lose precision as the discriminant vanishes.
+    closed branches lose precision as the discriminant vanishes.  Finite for
+    every finite rate; ``coupling * t`` must be finite.
     """
-    if coupling < 0:
-        raise ValueError(f"coupling must be nonnegative, got {coupling}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(coupling) and coupling >= 0):
+        raise ValueError(f"coupling must be finite and nonnegative, got {coupling}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be nonnegative")
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise ValueError("t must be finite and nonnegative")
+    if not math.isfinite(coupling * float(np.max(t, initial=0.0))):
+        raise ValueError(f"coupling * t must be finite, got {coupling:g} * {np.max(t):g}")
     # The discriminant sqrt|gamma^2 - coupling^2| is taken as a product of
-    # square roots, since squaring either rate overflows beyond ~1e154.
-    if abs(gamma - coupling) <= 1e-9 * gamma:
-        out = np.exp(-gamma * t) * (1.0 + gamma * t)
-    elif gamma > coupling:
-        delta = math.sqrt(gamma - coupling) * math.sqrt(gamma + coupling)
-        # exp(-gamma t) cosh/sinh combined into pure exponentials: no overflow
-        # at large t, and the slow mode dominates without cancellation.  The
-        # slow rate gamma - delta equals coupling^2 / (gamma + delta), a form
-        # that keeps its precision when gamma >> coupling.
-        slow = coupling * (coupling / (gamma + delta))
-        out = 0.5 * (
-            (1.0 + gamma / delta) * np.exp(-slow * t)
-            + (1.0 - gamma / delta) * np.exp(-(gamma + delta) * t)
-        )
-    else:
-        delta = math.sqrt(coupling - gamma) * math.sqrt(coupling + gamma)
-        out = np.exp(-gamma * t) * (np.cos(delta * t) + (gamma / delta) * np.sin(delta * t))
+    # square roots, since squaring either rate overflows beyond ~1e154.  Past
+    # ~9e307 a sum of two rates overflows too; the factor depends on the
+    # rates only through rate * t, so it is then taken at half the rates and
+    # twice the times.  A decay exponent past the float range gives exp = 0.
+    delta = math.sqrt(abs(gamma - coupling)) * math.sqrt(gamma + coupling)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(gamma + delta):
+            return decay_factor(0.5 * coupling, 0.5 * gamma, 2.0 * t)
+        if abs(gamma - coupling) <= 1e-9 * gamma:
+            out = np.exp(-gamma * t) * (1.0 + gamma * t)
+        elif gamma > coupling:
+            # exp(-gamma t) cosh/sinh as pure exponentials: no overflow at
+            # large t, and the slow mode dominates without cancellation.  The
+            # slow rate gamma - delta equals coupling^2 / (gamma + delta),
+            # which keeps its precision when gamma >> coupling.
+            slow = coupling * (coupling / (gamma + delta))
+            out = 0.5 * (
+                (1.0 + gamma / delta) * np.exp(-slow * t)
+                + (1.0 - gamma / delta) * np.exp(-(gamma + delta) * t)
+            )
+        else:
+            out = np.exp(-gamma * t) * (np.cos(delta * t) + (gamma / delta) * np.sin(delta * t))
     return float(out) if out.ndim == 0 else out
 
 
@@ -264,24 +274,14 @@ _SERIES_CUTOFF = 15.0
 _SERIES_TERMS = 48
 
 
-def _i0_series(x):
+def _i_series(x, order):
     t = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, _SERIES_TERMS):
-        term = term * t / (k * k)
+        term = term * t / (k * (k + order))
         total += term
-    return total
-
-
-def _i1_series(x):
-    t = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, _SERIES_TERMS):
-        term = term * t / (k * (k + 1))
-        total += term
-    return 0.5 * x * total
+    return 0.5 * x * total if order else total
 
 
 def _i_asymptotic(x, order):
@@ -305,33 +305,29 @@ def _i_asymptotic(x, order):
     return np.exp(x) / np.sqrt(2.0 * np.pi * x) * total
 
 
-def bessel_i0(x):
-    """Modified Bessel function I0: ascending series below 15, asymptotic above."""
+def _bessel_i(x, order):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     ax = np.atleast_1d(np.abs(x))
     out = np.empty_like(ax)
     small = ax <= _SERIES_CUTOFF
     if np.any(small):
-        out[small] = _i0_series(ax[small])
+        out[small] = _i_series(ax[small], order)
     if np.any(~small):
-        out[~small] = _i_asymptotic(ax[~small], 0)
+        out[~small] = _i_asymptotic(ax[~small], order)
+    if order:
+        out = out * np.sign(np.atleast_1d(x))
     return float(out[0]) if scalar else out
+
+
+def bessel_i0(x):
+    """Modified Bessel function I0: ascending series below 15, asymptotic above."""
+    return _bessel_i(x, 0)
 
 
 def bessel_i1(x):
     """Modified Bessel function I1 (odd in x); same series/asymptotic split as I0."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    ax = np.atleast_1d(np.abs(x))
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _i1_series(ax[small])
-    if np.any(~small):
-        out[~small] = _i_asymptotic(ax[~small], 1)
-    out = out * np.sign(np.atleast_1d(x))
-    return float(out[0]) if scalar else out
+    return _bessel_i(x, 1)
 
 
 class PhaseDensity(NamedTuple):

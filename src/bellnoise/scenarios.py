@@ -90,6 +90,10 @@ class ScenarioConfig:
                 problems.append(f"rtn noise needs gamma > 0, got {self.gamma}")
             if self.method == "quadrature":
                 problems.append("quadrature is only defined for static noise")
+            phase = 4.0 * self.nu * self.t_max  # the largest phase, as for static noise below
+            if math.isfinite(self.nu) and math.isfinite(self.t_max) and not math.isfinite(phase):
+                problems.append(f"rtn noise phase 4*nu*t_max must be finite, got "
+                                f"4*{self.nu:g}*{self.t_max:g}")
         if self.noise_kind == "static":
             if self.c0 is None:
                 problems.append("static noise needs c0")

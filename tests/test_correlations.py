@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from bellnoise import correlations
 from bellnoise.correlations import (
-    OptimizerSettings,
     _bound_coefficients,
     _entropies_after,
     _entropy_bound,
@@ -159,37 +157,11 @@ class TestClassicalCorrelations:
         direction /= np.linalg.norm(direction)
         assert conditional_entropy(rho, direction) == conditional_entropy(rho, -direction)
 
-    def test_optimizer_cap_raises(self):
-        settings = OptimizerSettings(max_iterations=2, step_floor=1e-9)
-        with pytest.raises(NumericalError, match="step floor"):
-            classical_correlations(dephased_bell_state(0.5), settings)
-
-
-class TestOptimizerSettings:
-    @pytest.mark.parametrize(
-        "overrides,message",
-        [
-            (dict(theta_points=1), "theta_points must be >= 2, got 1"),
-            (dict(theta_points=0), "theta_points must be >= 2, got 0"),
-            (dict(phi_points=0), "phi_points must be >= 1, got 0"),
-            (dict(step_floor=math.nan), "step_floor must be finite and positive, got nan"),
-            (dict(step_floor=math.inf), "step_floor must be finite and positive, got inf"),
-            (dict(step_floor=0.0), "step_floor must be finite and positive, got 0.0"),
-            (dict(step_floor=-1e-6), "step_floor must be finite and positive"),
-            (dict(max_iterations=0), "max_iterations must be >= 1, got 0"),
-        ],
-    )
-    def test_rejects_values_that_crash_or_skip_the_search(self, overrides, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            OptimizerSettings(**overrides)
-
-    def test_smallest_valid_settings_search(self):
-        OptimizerSettings(max_iterations=2, step_floor=1e-9)
-        OptimizerSettings(max_iterations=1)
-        optimum = classical_correlations(
-            dephased_bell_state(0.5), OptimizerSettings(theta_points=2, phi_points=1)
-        )
-        assert optimum.value == pytest.approx(1.0, abs=1e-9)
+    def test_optimizer_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(correlations, "_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(correlations, "_STEP_FLOOR", 1e-9)
+        with pytest.raises(NumericalError, match="step floor 1e-09 within 2 iterations"):
+            classical_correlations(dephased_bell_state(0.5))
 
 
 def conditional_entropy_reference(rho, direction):
@@ -239,31 +211,27 @@ class TestConditionalEntropyOracle:
             assert abs(single - reference[0]) <= 1e-13
 
     def test_antipodal_grid_is_exact(self, rng):
-        _, _, directions = _measurement_grid(64, 128)
+        _, _, directions = _measurement_grid()
         for rho in (random_density(rng), dephased_bell_state(0.3 - 0.2j)):
             assert np.array_equal(
                 conditional_entropy(rho, directions), conditional_entropy(rho, -directions)
             )
 
     def test_cached_grid_is_read_only(self):
-        grid = _measurement_grid(64, 128)
-        assert _measurement_grid(64, 128) is grid
+        grid = _measurement_grid()
+        assert _measurement_grid() is grid
         assert grid[2].shape == (64, 128, 3)
-        monomials = correlations._grid_monomials(64, 128)
-        assert correlations._grid_monomials(64, 128) is monomials
+        monomials = correlations._grid_monomials()
+        assert correlations._grid_monomials() is monomials
         assert monomials.shape == (9, 64 * 128)
         for array in grid + (monomials,):
             assert not array.flags.writeable
 
 
-# A step floor above the grid's first step ends the search on the grid itself.
-GRID_ONLY = OptimizerSettings(step_floor=1.0)
-
-
 def unscreened_grid_optimum(rho, entropy_a):
     """``(value, theta, phi_az)`` of the first best direction of the full
     64 x 128 grid, every direction scored by the public kernel."""
-    tt, pp, directions = _measurement_grid(64, 128)
+    tt, pp, directions = _measurement_grid()
     values = entropy_a - conditional_entropy(rho, directions)
     best = int(np.argmax(values))
     return values.flat[best], tt.flat[best], pp.flat[best]
@@ -283,7 +251,10 @@ class TestGridScreen:
     @staticmethod
     def _assert_screen_exact(states):
         entropy_a = vn_entropy(partial_trace(states, "A"))
-        found = _search(_measurement_parts(states), entropy_a, GRID_ONLY)
+        with pytest.MonkeyPatch.context() as patch:
+            # a step floor above the grid's first step ends the search on the grid itself
+            patch.setattr(correlations, "_STEP_FLOOR", 1.0)
+            found = _search(_measurement_parts(states), entropy_a)
         for i, rho in enumerate(states):
             expected = unscreened_grid_optimum(rho, entropy_a[i])
             assert tuple(column[i] for column in found) == expected, i
@@ -405,7 +376,7 @@ class TestDiscordFloor:
         rho = dephased_bell_state(0.5)
         total = mutual_information(rho)
 
-        def search(parts, entropy_a, settings):
+        def search(parts, entropy_a):
             count = len(entropy_a)
             return np.full(count, total + excess), np.zeros(count), np.zeros(count)
 
@@ -460,13 +431,14 @@ class TestStackScoring:
             measure_correlations(states)
         assert caught.value.index == 2
 
-    def test_failure_names_the_earliest_state_whatever_the_check(self):
+    def test_failure_names_the_earliest_state_whatever_the_check(self, monkeypatch):
         # validation runs first over the whole stack and finds state 3; the
         # search cap fails every valid state, so state 0 fails first
+        monkeypatch.setattr(correlations, "_MAX_ITERATIONS", 1)
         states = dephased_bell_state(np.linspace(0.0, 1.0, 5))
         states[3, 0, 0] = np.nan
         with pytest.raises(NumericalError, match="step floor") as caught:
-            measure_correlations(states, OptimizerSettings(max_iterations=1))
+            measure_correlations(states)
         assert caught.value.index == 0
 
     def test_long_curve_stays_small_in_memory(self):
@@ -498,6 +470,10 @@ class TestClosedFormDiscord:
         with pytest.raises(ValueError):
             dephased_bell_discord(1.0 + 1e-9)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            dephased_bell_discord(math.nan)
+
 
 class TestClosedFormNegativities:
     def test_static_short_time_limits(self):
@@ -520,6 +496,16 @@ class TestClosedFormNegativities:
         assert value == pytest.approx(
             negativity(closed_form_static(HAM, noise, "common", t)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, np.array([0.0, -1.0])])
+    def test_static_rejects_a_negative_or_non_finite_time(self, t):
+        # as telegraph_negativity does through decay_factor
+        noise = StaticNoiseSpec(c0=1.0, delta_c=1.0)
+        for topology in ("separate", "common"):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                static_negativity(noise, 1.0, t, topology)
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                telegraph_negativity(TelegraphSpec(gamma=1.0), 1.0, t, topology)
 
     def test_telegraph_time_zero(self):
         spec = TelegraphSpec(gamma=0.2)

@@ -606,3 +606,8 @@ class TestHelpers:
     def test_hamiltonian_requires_positive_coupling(self):
         with pytest.raises(ValueError):
             HamiltonianSpec(nu=0.0)
+
+    @pytest.mark.parametrize("nu", [np.inf, np.nan])
+    def test_hamiltonian_requires_finite_coupling(self, nu):
+        with pytest.raises(ValueError, match="nu must be finite and positive"):
+            HamiltonianSpec(nu=nu)

@@ -36,6 +36,16 @@ class TestSpecs:
         with pytest.raises(ValueError):
             TelegraphSpec(gamma=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, value):
+        for make in (
+            lambda: StaticNoiseSpec(c0=value, delta_c=1.0),
+            lambda: StaticNoiseSpec(c0=0.0, delta_c=value),
+            lambda: TelegraphSpec(gamma=value),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
 
 class TestStaticSampler:
     def test_support_mean_and_variance(self):
@@ -349,6 +359,28 @@ class TestDecayFactor:
         slow = decay_factor(2e200, 1.0, t)
         assert slow[0] == 1.0
         assert np.all(np.abs(slow) <= np.exp(-t) * (1.0 + 1e-12))
+
+    def test_rates_at_the_float_limit_stay_finite(self):
+        # past ~9e307 the sum of two rates overflows, and at t = 0 an infinite
+        # rate times 0 would give nan; the factor is taken at half the rates
+        for coupling, gamma, t_max in ((2.0, 1e308, 20.0), (4.0, 8e307, 20.0),
+                                       (1e308, 1.5e308, 1.0), (1e308, 9e307, 1.0),
+                                       (1.7e308, 1.7e308, 1.0)):
+            values = decay_factor(coupling, gamma, np.linspace(0.0, t_max, 5))
+            assert values[0] == 1.0
+            assert np.all(np.abs(values) <= 1.0)
+        # motional narrowing: the slow rate coupling^2 / (2 gamma) is ~1e-308
+        assert np.all(decay_factor(2.0, 1e308, np.linspace(0.0, 20.0, 5)) == 1.0)
+
+    @pytest.mark.parametrize(
+        "coupling,gamma,t",
+        [(math.nan, 1.0, 0.5), (math.inf, 1.0, 0.5), (1.0, math.nan, 0.5), (1.0, math.inf, 0.5),
+         (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (1.0, 1.0, np.array([0.0, math.nan])),
+         (1e300, 1.0, 1e10)],
+    )
+    def test_rejects_non_finite_arguments(self, coupling, gamma, t):
+        with pytest.raises(ValueError, match="finite"):
+            decay_factor(coupling, gamma, t)
 
     def test_slow_rate_keeps_its_precision_at_fast_switching(self):
         # gamma - delta cancels to a few digits at gamma / coupling = 5e7; the
