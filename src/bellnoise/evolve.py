@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -50,8 +49,12 @@ _BLOCK_ELEMENTS = 1 << 16
 # adds 25 ms to a 2e4-sample static curve (30 ms pooled against 10 ms
 # in-process): the workers also start cold and send their sums back.
 _POOL_START_S = 0.012
-# Chunks timed in-process before a pool may start.
-_PROBES = 3
+# Predicted seconds of a chunk's work per row and grid point (static), and
+# per row and flip or query time (telegraph): a 256-sample chunk took
+# 2.5-6.8 us and 7-33 us per unit on a shared 2-core x86_64 VM, over 11 to
+# 801 points, gamma 0.2 to 20 and both topologies.
+_STATIC_UNIT_S = 5e-6
+_RTN_UNIT_S = 20e-6
 
 # Gauss-Legendre integrates exp(i w x) on [-1, 1] spectrally while w stays
 # below about this many radians per node.
@@ -272,62 +275,40 @@ def _rtn_chunk(args):
     return acc
 
 
-def _mc_mean(chunk_fn, payload, n_samples, workers):
+def _mc_mean(chunk_fn, payload, n_samples, workers, chunk_s):
     # Chunk boundaries are fixed by n_samples alone and each chunk is reduced
     # in index order, so the result is bit-identical for any worker count.
     # Chunks return per-row sums, one row per independent factor of the
     # estimator; the result holds the row means.
     #
-    # ``workers`` is an upper bound.  Chunk 0 runs here and is timed, and the
-    # chunks left go to a pool only if their expected saving covers the
-    # pool's cost.  A cold chunk 0 can take three times as long as the chunks
-    # after it, and now and then two chunks in a row run slow on a shared
-    # host, so a probe that says "pool" is confirmed on chunks 1 and 2 first,
-    # and the fastest of the three decides.  The pool never outnumbers the
-    # chunks left or the CPUs this process may run on.  Chunks cost the same,
-    # so each worker takes one contiguous batch of them: a task sent on its
-    # own costs a round trip through the pool's queues, about a millisecond
-    # with a jitter of as much, several times the work of a chunk.
+    # A pool never outnumbers ``workers``, the chunks or the CPUs this process
+    # may run on.  It saves the share of the work that runs beside another
+    # worker's, predicted from the config as ``chunk_s`` per chunk, and starts
+    # only when that covers twice its start-up, since the prediction is good
+    # to about 2x.  No clock takes part: a config always makes the same
+    # choice.  Each worker takes one contiguous batch of chunks, since a task
+    # sent on its own costs a millisecond's round trip through the queues.
     tasks = [
         payload + (start, min(start + _CHUNK, n_samples))
         for start in range(0, n_samples, _CHUNK)
     ]
-    partials = []
-    probe = math.inf
-    for task in tasks[:_PROBES]:
-        started = perf_counter()
-        partials.append(chunk_fn(task))
-        probe = min(probe, perf_counter() - started)
-        rest = tasks[len(partials) :]
-        pool_size = min(int(workers), len(rest), _usable_cpus())
-        if not _pool_pays(probe, len(rest), pool_size):
-            partials.extend(chunk_fn(task) for task in rest)
-            break
-    else:
-        batch = math.ceil(len(rest) / pool_size)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = min(int(workers), len(tasks), cpus or 1)
+    saving = chunk_s * len(tasks) * (1.0 - 1.0 / pool_size)
+    if saving > 2.0 * _POOL_START_S * pool_size:
         # looked up on the module, which loads it on the first pool start
         executor = sys.modules[__name__].ProcessPoolExecutor
         with executor(max_workers=pool_size) as pool:
-            partials.extend(pool.map(chunk_fn, rest, chunksize=batch))
+            batch = math.ceil(len(tasks) / pool_size)
+            partials = list(pool.map(chunk_fn, tasks, chunksize=batch))
+    else:
+        partials = [chunk_fn(task) for task in tasks]
     sums = np.sum(np.stack(partials, axis=0), axis=0)
     if np.iscomplexobj(sums):
         # numpy divides a complex array through the reciprocal of the divisor,
         # which takes 425 / 425 to 1 - 1e-16; divide each part exactly instead
         return sums.real / n_samples + 1j * (sums.imag / n_samples)
     return sums / n_samples
-
-
-def _pool_pays(probe, chunks, pool_size):
-    # A pool saves the share of the chunks' work that runs beside another
-    # worker's, and costs each worker's start-up.
-    saving = probe * chunks * (1.0 - 1.0 / pool_size) if pool_size > 1 else 0.0
-    return saving > _POOL_START_S * pool_size
-
-
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _time_grid(t):
@@ -361,7 +342,7 @@ def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
     couplings as one uniform block from the generator of ``(seed, first
     sample index)``: deterministic for fixed ``seed`` regardless of
     ``workers``.  ``workers`` is an upper bound: chunks go to a process pool
-    only when the timed first chunks show that the pool saves more than it
+    only when the work predicted from the grid size saves twice what the pool
     costs to start, so small runs stay in-process.
     """
     check_topology(topology)
@@ -369,7 +350,8 @@ def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     times, shape = _time_grid(t)
     payload = (ham, noise, topology, times, int(seed), int(n_samples))
-    means = _mc_mean(_static_chunk, payload, int(n_samples), workers)
+    chunk_s = (2 if topology == "separate" else 1) * times.size * _STATIC_UNIT_S
+    means = _mc_mean(_static_chunk, payload, int(n_samples), workers, chunk_s)
     z = np.exp(-4j * noise.c0 * ham.nu * times) * np.prod(means, axis=0)
     return dephased_bell_state(z.reshape(shape))
 
@@ -399,13 +381,16 @@ def average_rtn_mc(ham, rtn, topology, t_grid, n_traj, seed, workers=1):
     generator of ``(seed, first sample index)``; the block shapes depend only
     on ``gamma``, ``T`` and the grid size.  Deterministic for fixed ``seed``
     regardless of ``workers``, which is an upper bound as in
-    :func:`average_static_mc`.
+    :func:`average_static_mc`; the work is predicted from ``gamma * T`` and
+    the grid size.
     """
     check_topology(topology)
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     times, shape = _time_grid(t_grid)
     payload = (ham, rtn, topology, times, int(seed))
-    first, second = _mc_mean(_rtn_chunk, payload, int(n_traj), workers)
+    rows, queries = (2, times.size) if topology == "separate" else (1, 2 * times.size + 1)
+    chunk_s = rows * (rtn.gamma * float(times.max()) + queries) * _RTN_UNIT_S
+    first, second = _mc_mean(_rtn_chunk, payload, int(n_traj), workers, chunk_s)
     z = (first * second).real
     return dephased_bell_state(z.reshape(shape))

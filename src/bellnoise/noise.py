@@ -247,14 +247,19 @@ def decay_factor(coupling, gamma, t):
     # The discriminant sqrt|gamma^2 - coupling^2| is taken as a product of
     # square roots, since squaring either rate overflows beyond ~1e154.  Past
     # ~9e307 a sum of two rates overflows too; the factor depends on the
-    # rates only through rate * t, so it is then taken at half the rates and
-    # twice the times.  A decay exponent past the float range gives exp = 0.
-    delta = math.sqrt(abs(gamma - coupling)) * math.sqrt(gamma + coupling)
+    # rates only through rate * t, so it is then taken at half the rates with
+    # every exponent doubled; doubling t instead overflows past ~9e307.  A
+    # decay exponent past the float range gives exp = 0.
     with np.errstate(over="ignore"):
+        scale = 1.0
+        delta = math.sqrt(abs(gamma - coupling)) * math.sqrt(gamma + coupling)
         if not math.isfinite(gamma + delta):
-            return decay_factor(0.5 * coupling, 0.5 * gamma, 2.0 * t)
+            coupling, gamma, scale = 0.5 * coupling, 0.5 * gamma, 2.0
+            delta = math.sqrt(abs(gamma - coupling)) * math.sqrt(gamma + coupling)
+        decay = scale * (gamma * t)
         if abs(gamma - coupling) <= 1e-9 * gamma:
-            out = np.exp(-gamma * t) * (1.0 + gamma * t)
+            # capped, so an overflowing exponent gives 0 rather than 0 * inf
+            out = np.exp(-decay) * (1.0 + np.minimum(decay, np.finfo(float).max))
         elif gamma > coupling:
             # exp(-gamma t) cosh/sinh as pure exponentials: no overflow at
             # large t, and the slow mode dominates without cancellation.  The
@@ -262,11 +267,12 @@ def decay_factor(coupling, gamma, t):
             # which keeps its precision when gamma >> coupling.
             slow = coupling * (coupling / (gamma + delta))
             out = 0.5 * (
-                (1.0 + gamma / delta) * np.exp(-slow * t)
-                + (1.0 - gamma / delta) * np.exp(-(gamma + delta) * t)
+                (1.0 + gamma / delta) * np.exp(-scale * (slow * t))
+                + (1.0 - gamma / delta) * np.exp(-scale * ((gamma + delta) * t))
             )
         else:
-            out = np.exp(-gamma * t) * (np.cos(delta * t) + (gamma / delta) * np.sin(delta * t))
+            phase = scale * (delta * t)
+            out = np.exp(-decay) * (np.cos(phase) + (gamma / delta) * np.sin(phase))
     return float(out) if out.ndim == 0 else out
 
 

@@ -25,6 +25,7 @@ from .correlations import (
 )
 from .errors import SimulationError
 from .evolve import (
+    _BLOCK_ELEMENTS,
     MAX_NODES,
     TOPOLOGIES,
     HamiltonianSpec,
@@ -34,7 +35,7 @@ from .evolve import (
     closed_form_rtn,
     closed_form_static,
 )
-from .noise import StaticNoiseSpec, TelegraphSpec
+from .noise import StaticNoiseSpec, TelegraphSpec, _telegraph_block_width
 
 NOISE_KINDS = ("static", "rtn")
 METHODS = ("mc", "quadrature", "closed_form")
@@ -100,13 +101,15 @@ class ScenarioConfig:
             if self.delta_c is None or not self.delta_c > 0:
                 problems.append(f"static noise needs delta_c > 0, got {self.delta_c}")
             elif self.c0 is not None:
-                # the largest phase any route takes; past the float range the
-                # routes' sines and cosines turn it into nan
-                phase = 4.0 * self.nu * (abs(self.c0) + self.delta_c) * self.t_max
+                # the largest phase, each factor counted as at least 1: no product a
+                # route forms on the way may overflow, or sines and cosines give nan
+                coupling = abs(self.c0) + self.delta_c
+                phase = 4.0 * max(self.nu, 1.0) * max(coupling, 1.0) * max(self.t_max, 1.0)
                 inputs = (self.nu, self.c0, self.delta_c, self.t_max)
                 if all(map(math.isfinite, inputs)) and not math.isfinite(phase):
                     problems.append(
-                        f"static noise phase 4*nu*(|c0|+delta_c)*t_max must be finite, got "
+                        f"static noise phase 4*nu*(|c0|+delta_c)*t_max must be finite with "
+                        f"each factor counted as at least 1, got "
                         f"4*{self.nu:g}*({abs(self.c0):g}+{self.delta_c:g})*{self.t_max:g}"
                     )
         if self.method == "mc" and self.n_samples < 1:
@@ -116,6 +119,12 @@ class ScenarioConfig:
         # checked whatever the method, so compare rejects it before any quadrature
         if self.quad_nodes is not None and not 2 <= self.quad_nodes <= MAX_NODES:
             problems.append(f"quad_nodes must be 2 to {MAX_NODES}, got {self.quad_nodes}")
+        # a trajectory wider than one kernel block makes the run's memory and
+        # time grow without bound; the closed form is exact at any rate
+        if not problems and self.noise_kind == "rtn" and self.method == "mc":
+            if _telegraph_block_width(self.noise_spec(), self.t_max) > _BLOCK_ELEMENTS:
+                problems.append(f"rtn mc trajectories at gamma*t_max={self.gamma * self.t_max:g} "
+                                f"outgrow one kernel block; use --method closed_form")
         if problems:
             raise ValueError("invalid scenario config: " + "; ".join(problems))
 

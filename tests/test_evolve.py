@@ -1,7 +1,7 @@
-import itertools
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -329,7 +329,10 @@ class TestRtnMonteCarlo:
 
 
 class TestWorkerPool:
-    """The pool starts only where it pays, and never outnumbers the chunks or CPUs."""
+    """The pool starts only where it pays, and never outnumbers the chunks or CPUs.
+
+    Whether it starts, and its size, follow from the config and the CPUs alone.
+    """
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -359,13 +362,12 @@ class TestWorkerPool:
 
     @pytest.fixture
     def pools(self, recorded, monkeypatch):
-        # a pool that starts for free pays for any run of three chunks or more
+        # a pool that starts for free pays for any run of two chunks or more
         monkeypatch.setattr(evolve, "_POOL_START_S", 0.0)
         return recorded
 
     def test_pool_size_is_capped(self, pools):
-        # chunks 0 to 2 run in-process, so the pool takes at most chunks - 3:
-        # 3 of 6 chunks here, as many as the 3 CPUs
+        # 6 chunks on 3 CPUs: as many workers as CPUs, or fewer if asked
         spec = TelegraphSpec(gamma=0.5)
         times = np.linspace(0.0, 2.0, 3)
         chunks = 6
@@ -375,20 +377,20 @@ class TestWorkerPool:
             assert pools[-1] == expected
             assert np.array_equal(pooled, serial)
         pools.clear()
-        # 5 chunks leave 2 for the pool, fewer than the CPUs
-        average_static_mc(HAM, STATIC, "common", times, 5 * 256, seed=6, workers=100_000)
+        # 2 chunks give a pool of 2, fewer than the CPUs
+        average_static_mc(HAM, STATIC, "common", times, 2 * 256, seed=6, workers=100_000)
         assert pools == [2]
 
     def test_each_worker_takes_one_batch_of_chunks(self, pools):
         # a chunk sent on its own costs a round trip through the pool's queues;
-        # the pool gets the 4 chunks after the three probed in-process, in
-        # batches of ceil(4 / 2) = 2 on 2 workers and ceil(4 / 3) = 2 on 3
+        # the pool gets all 7 chunks, in batches of ceil(7 / 2) = 4 on 2
+        # workers and ceil(7 / 3) = 3 on 3
         times = np.linspace(0.0, 2.0, 3)
         serial = average_static_mc(HAM, STATIC, "separate", times, 7 * 256, seed=6)
         for workers in (2, 3):
             pooled = average_static_mc(HAM, STATIC, "separate", times, 7 * 256, 6, workers)
             assert np.array_equal(pooled, serial)
-        assert evolve.ProcessPoolExecutor.batches == [2, 2]
+        assert evolve.ProcessPoolExecutor.batches == [4, 3]
 
     def test_single_chunk_runs_without_a_pool(self, pools):
         average_static_mc(HAM, STATIC, "common", 1.0, 256, seed=6, workers=100_000)
@@ -403,37 +405,6 @@ class TestWorkerPool:
             average_static_mc(HAM, STATIC, "separate", times, 4096, seed=6, workers=8), serial
         )
         average_rtn_mc(HAM, TelegraphSpec(gamma=0.5), "common", times, 1024, seed=6, workers=8)
-        assert recorded == []
-
-    def test_slow_probe_pools_the_rest(self, recorded, monkeypatch):
-        # each clock reading is a second after the last, so every chunk seems to
-        # take 1 s; chunks 0 to 2 run here and the pool gets the other 3, in
-        # batches of ceil(3 / 2) = 2
-        ticks = itertools.count()
-        monkeypatch.setattr(evolve, "perf_counter", lambda: float(next(ticks)))
-        times = np.linspace(0.0, 2.0, 3)
-        serial = average_static_mc(HAM, STATIC, "common", times, 6 * 256, seed=6)
-        assert recorded == []
-        pooled = average_static_mc(HAM, STATIC, "common", times, 6 * 256, seed=6, workers=2)
-        assert recorded == [2]
-        assert evolve.ProcessPoolExecutor.batches == [2]
-        assert np.array_equal(pooled, serial)
-
-    def test_slow_first_chunk_alone_starts_no_pool(self, recorded, monkeypatch):
-        # chunk 0 seems to take 1 s, chunk 1 no time: the probe is not confirmed
-        ticks = itertools.chain([0.0, 1.0], itertools.repeat(1.0))
-        monkeypatch.setattr(evolve, "perf_counter", lambda: next(ticks))
-        times = np.linspace(0.0, 2.0, 3)
-        average_rtn_mc(HAM, TelegraphSpec(gamma=0.5), "separate", times, 6 * 256, 6, workers=2)
-        assert recorded == []
-
-    def test_two_slow_chunks_and_a_fast_one_start_no_pool(self, recorded, monkeypatch):
-        # chunks 0 and 1 seem to take 1 s each, chunk 2 no time: the fastest
-        # probe decides, and it says the pool would not pay
-        ticks = itertools.chain([0.0, 1.0, 1.0, 2.0], itertools.repeat(2.0))
-        monkeypatch.setattr(evolve, "perf_counter", lambda: next(ticks))
-        times = np.linspace(0.0, 2.0, 3)
-        average_static_mc(HAM, STATIC, "separate", times, 6 * 256, seed=6, workers=2)
         assert recorded == []
 
     def test_real_pool_matches_one_worker(self, monkeypatch):
@@ -457,6 +428,68 @@ class TestWorkerPool:
             ):
                 assert np.array_equal(run(workers=2), run(workers=1))
         assert started == [2] * 4
+
+    @pytest.fixture
+    def starts(self, recorded, monkeypatch):
+        # the decision reads no chunk's result or time, so the kernels are
+        # stubbed out: two rows of ones at every grid time
+        def ones(args):
+            return np.ones((2, args[3].size))
+
+        monkeypatch.setattr(evolve, "_static_chunk", ones)
+        monkeypatch.setattr(evolve, "_rtn_chunk", ones)
+        return recorded
+
+    @staticmethod
+    def usable_cpus(monkeypatch, count):
+        monkeypatch.setattr(evolve.os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        monkeypatch.setattr(evolve.os, "cpu_count", lambda: count)
+
+    @staticmethod
+    def run(noise, topology, samples, points, workers):
+        times = np.linspace(0.0, 20.0, points)
+        if noise == "static":
+            return average_static_mc(HAM, STATIC, topology, times, samples, 3, workers)
+        spec = TelegraphSpec(gamma=noise)
+        return average_rtn_mc(HAM, spec, topology, times, samples, 3, workers)
+
+    @pytest.mark.parametrize(
+        "noise,samples,points,workers,cpus,expected",
+        [
+            # the static-crosscheck bench op: 4-9 ms of predicted chunk work
+            ("static", 20_000, 11, 2, 2, []),
+            # 4096 x 11 at gamma 5, 39-71 ms, which a timed probe pooled on some runs only
+            (5.0, 4096, 11, 2, 2, []),
+            # paper-scale curves: 0.4 to 5 s
+            ("static", 100_000, 201, 2, 2, [2]),
+            (0.2, 100_000, 201, 2, 2, [2]),
+            (5.0, 100_000, 201, 2, 2, [2]),
+            ("static", 100_000, 201, 8, 3, [3]),
+            # one usable CPU, or one worker asked for
+            ("static", 100_000, 201, 2, 1, []),
+            (5.0, 100_000, 201, 1, 2, []),
+        ],
+    )
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_decision_table(self, starts, monkeypatch, noise, samples, points, workers, cpus,
+                            expected, topology):
+        self.usable_cpus(monkeypatch, cpus)
+        for _ in range(2):
+            self.run(noise, topology, samples, points, workers)
+        assert starts == expected * 2
+
+    def test_slow_chunks_leave_the_decision_unchanged(self, starts, monkeypatch):
+        # 8 chunks of 50 ms each: a stopwatch would see 0.2 s of saving against
+        # 48 ms of start-up, but the decision reads the config, not a clock
+        def slow_chunk(args):
+            time.sleep(0.05)
+            return np.ones((2, args[3].size))
+
+        monkeypatch.setattr(evolve, "_static_chunk", slow_chunk)
+        self.usable_cpus(monkeypatch, 2)
+        self.run("static", "separate", 8 * 256, 11, 2)
+        assert starts == []
 
 
 class TestPoolStackImport:

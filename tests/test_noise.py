@@ -363,9 +363,13 @@ class TestDecayFactor:
     def test_rates_at_the_float_limit_stay_finite(self):
         # past ~9e307 the sum of two rates overflows, and at t = 0 an infinite
         # rate times 0 would give nan; the factor is taken at half the rates
+        # with its exponents doubled, so a t past ~9e307 is never doubled
         for coupling, gamma, t_max in ((2.0, 1e308, 20.0), (4.0, 8e307, 20.0),
                                        (1e308, 1.5e308, 1.0), (1e308, 9e307, 1.0),
-                                       (1.7e308, 1.7e308, 1.0)):
+                                       (1.7e308, 1.7e308, 1.0), (2e-300, 1e308, 1e308),
+                                       (1e-10, 1.5e308, 1.7e308),
+                                       # near the branch point gamma * t overflows alone
+                                       (1e308, 1.00000000005e308, 1.7976931348)):
             values = decay_factor(coupling, gamma, np.linspace(0.0, t_max, 5))
             assert values[0] == 1.0
             assert np.all(np.abs(values) <= 1.0)

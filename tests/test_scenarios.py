@@ -1,7 +1,10 @@
+import io
 import math
 import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,11 +91,17 @@ class TestConfigValidation:
             (dict(method="mc", seed=-1), "mc needs seed >= 0"),
             (dict(nu=1e308), re.escape("rtn noise phase 4*nu*t_max must be finite")),
             (dict(t_max=5e307), re.escape("rtn noise phase 4*nu*t_max must be finite")),
+            (dict(method="mc", gamma=1.65e4), re.escape("gamma*t_max=66000 outgrow")),
         ],
     )
     def test_rejects_bad_rtn_fields(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             rtn_config(**overrides).validate()
+
+    def test_accepts_telegraph_trajectories_within_one_kernel_block(self):
+        # 6.4e4 mean flips plus five sigma fill 65273 of the block's 65536 entries
+        rtn_config(method="mc", gamma=1.6e4).validate()
+        rtn_config(gamma=1e6).validate()
 
     def test_seed_is_ignored_without_sampling(self):
         rtn_config(seed=-1).validate()
@@ -101,7 +110,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides",
         [dict(c0=0.0, delta_c=1e200, nu=1e200), dict(c0=1e308, delta_c=1e308),
-         dict(c0=-1e300, t_max=1e10)],
+         dict(c0=-1e300, t_max=1e10),
+         # finite phases whose routes overflow on the way: -4j * c0 in the
+         # closed form, t * c in the quadrature, rate * nu * t in the sampler
+         dict(c0=4.49423283715579e307, nu=0.5, t_max=1.0),
+         dict(c0=1.2e307, nu=0.125, t_max=15.0),
+         dict(c0=0.25, delta_c=0.125, nu=15.0, t_max=6e306)],
     )
     def test_rejects_a_static_phase_past_the_float_range(self, overrides):
         message = re.escape("phase 4*nu*(|c0|+delta_c)*t_max must be finite")
@@ -444,19 +458,30 @@ class TestPresetsAndConfigFiles:
         assert parsed == {"notes": "a # b", "output_path": "d#e", "method": "mc"}
 
 
-def run_cli(*args, cwd=None):
-    result = subprocess.run(
-        [sys.executable, "-m", "bellnoise", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
-    # the subprocess does not inherit pytest's error::RuntimeWarning filter
+def run_cli(*args):
+    # in-process, with every warning an error: numpy's overflow and invalid
+    # warnings fail the call that raised them
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        returncode = cli.main(list(args))
+    result = subprocess.CompletedProcess(args, returncode, out.getvalue(), err.getvalue())
     assert "Warning" not in result.stderr and "Traceback" not in result.stderr, result.stderr
     return result
 
 
 class TestCli:
+    def test_module_entry_point_propagates_the_exit_code(self):
+        # a fresh interpreter through ``python -m bellnoise``: the one process
+        # these tests start, for the entry point and its exit status
+        args = ("compare", "--noise", "static", "--c0", "1", "--delta-c", "1", "--points", "3",
+                "--method", "quadrature,closed_form", "--tolerance", "1e-18")
+        result = subprocess.run([sys.executable, "-m", "bellnoise", *args],
+                                capture_output=True, text=True)
+        assert result.returncode == 2, result.stderr
+        assert "result: FAIL" in result.stdout
+        assert result.stderr == ""
+
     def test_simulate_writes_csv_and_config(self, tmp_path):
         out = tmp_path / "curve.csv"
         result = run_cli(
@@ -601,6 +626,11 @@ class TestCli:
             ("--noise", "rtn", "--gamma", "8e307", "--topology", "separate"),
             ("--noise", "rtn", "--gamma", "1.5e308", "--nu", "2.5e307", "--t-max", "1",
              "--topology", "common"),
+            # a t_max past ~9e307 must not be doubled with the halved rates
+            ("--noise", "rtn", "--gamma", "1e308", "--nu", "1e-300", "--t-max", "1e308"),
+            # at the branch point gamma * t_max overflows while 4 * nu * t_max does not
+            ("--noise", "rtn", "--gamma", "1.00000000005e308", "--nu", "2.5e307",
+             "--t-max", "1.7976931348", "--topology", "common"),
             ("--noise", "static", "--c0", "1", "--delta-c", "1", "--nu", "1e300"),
         ):
             result = run_cli("simulate", "--method", "closed_form", "--points", "5", *case)
@@ -608,6 +638,20 @@ class TestCli:
             numeric, _ = parse_csv(result.stdout)
             assert numeric["negativity"][0] == 1.0
             assert np.all(np.isfinite(numeric["negativity"]))
+        # a telegraph trajectory wider than one kernel block is refused before
+        # any sampling: gamma*t_max above about 6.4e4, exact in closed form
+        message = "outgrow one kernel block; use --method closed_form"
+        for case in (
+            ("simulate", "--method", "mc", "--gamma", "3.3e3"),
+            ("simulate", "--method", "mc", "--gamma", "1e30"),
+            ("simulate", "--method", "mc", "--gamma", "7e4"),
+            ("simulate", "--method", "mc", "--gamma", "1e6"),
+            ("compare", "--method", "mc,closed_form", "--gamma", "1e6", "--topology", "common"),
+        ):
+            result = run_cli(*case, "--noise", "rtn", "--samples", "16", "--points", "3")
+            assert result.returncode == 1, (case, result.stderr)
+            assert message in result.stderr and "gamma*t_max=" in result.stderr
+            assert result.stderr.count("\n") == 1 and result.stdout == ""
 
     def test_overflowing_static_phase_is_a_usage_error(self):
         # past the float range every route's sines and cosines would turn the
@@ -707,3 +751,45 @@ class TestCli:
             path = tmp_path / f"fig2-nonmarkov-{topology}.csv"
             assert path.exists()
             assert Path(str(path) + ".config").exists()
+
+
+class TestCliFloatEdges:
+    """Whatever floats reach the command line: a finite curve or a one-line refusal."""
+
+    RATES = st.floats(1e-300, 1e308)
+    ANY = st.one_of(RATES, st.floats())
+
+    @settings(max_examples=100)
+    @given(
+        noise=st.sampled_from(("rtn", "static")),
+        method=st.sampled_from(("mc", "quadrature", "closed_form")),
+        topology=st.sampled_from(("separate", "common")),
+        gamma=RATES,
+        nu=ANY,
+        t_max=ANY,
+        c0=ANY,
+        delta_c=ANY,
+        points=st.integers(2, 64),
+        samples=st.integers(1, 64),
+    )
+    def test_exits_with_a_finite_csv_or_a_one_line_message(
+        self, noise, method, topology, gamma, nu, t_max, c0, delta_c, points, samples
+    ):
+        # ``--flag=value`` form, or argparse reads "-1e-300" as an option name.
+        # The block bound keeps every accepted Monte Carlo run short.
+        args = [f"--noise={noise}", f"--method={method}", f"--topology={topology}",
+                f"--nu={nu!r}", f"--t-max={t_max!r}", f"--points={points}",
+                f"--samples={samples}"]
+        if noise == "rtn":
+            args.append(f"--gamma={gamma!r}")
+        else:
+            args += [f"--c0={c0!r}", f"--delta-c={delta_c!r}"]
+        result = run_cli("simulate", *args)
+        if result.returncode == 0:
+            numeric, _ = parse_csv(result.stdout)
+            assert all(np.all(np.isfinite(column)) for column in numeric.values())
+            assert result.stderr == ""
+        else:
+            assert result.returncode in (1, 3), result.stderr
+            assert result.stderr.count("\n") == 1, result.stderr
+            assert result.stdout == ""
