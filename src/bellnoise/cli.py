@@ -47,6 +47,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse takes "-1e-3" or "-inf" for a flag; any float is a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _add_scenario_flags(parser, include_method=True):
     # each flag's dest is the ScenarioConfig field it sets

@@ -26,7 +26,10 @@ other direction's value lies provably below the best one, by far more than
 rounding (the slack's derivation is at ``_SCREEN_SLACK``), so the grid's
 maximum, its position (the first among ties) and every output bit are those
 of the full grid.  Past ``t = 0`` the presets keep 4 to 12 of the 8192
-directions; a pure Bell state keeps all of them, since every direction ties.
+directions.  A pure Bell state keeps all of them, since every direction ties
+at ``S(A|B) = 0``; but the computed ``S(A|B)`` is never negative, so when the
+exact value at the lowest bound is 0 and the first kept direction is worth
+``S(A)``, that direction is the grid's first maximum and the rest go unscored.
 
 :func:`measure_correlations` scores one state or a whole ``(n, 4, 4)`` stack
 in one call.  Validation, the marginal spectra and the partial-transpose
@@ -311,9 +314,15 @@ def _search(parts, entropy_a):
         # Only directions whose bound is within the slack of one exact value
         # can hold the grid's maximum (see the module docstring).
         bound = _entropy_bound(*(column[i] for column in coefficients), monomials)
-        cutoff = _entropies_after(parts[i], directions[int(np.argmin(bound))]) + _SCREEN_SLACK
-        kept = np.flatnonzero(bound <= cutoff)
-        values = entropy_a[i] - _sliced_entropies(parts[i], directions[kept])
+        floor = _entropies_after(parts[i], directions[int(np.argmin(bound))])
+        kept = np.flatnonzero(bound <= floor + _SCREEN_SLACK)
+        # S(A|B) is never negative, so after a zero floor a first kept
+        # direction worth S(A) is the grid's first maximum (module docstring)
+        values = None
+        if floor == 0.0:
+            values = entropy_a[i] - _entropies_after(parts[i], directions[kept[:1]])
+        if values is None or values[0] != entropy_a[i]:
+            values = entropy_a[i] - _sliced_entropies(parts[i], directions[kept])
         pick = int(np.argmax(values))
         best = kept[pick]
         value[i], theta[i], phi_az[i] = values[pick], tt.flat[best], pp.flat[best]
@@ -440,14 +449,14 @@ def measure_correlations(rho):
 def dephased_bell_discord(mean_phase_factor):
     """Closed-form discord of the dephased Bell family, in bits.
 
-    For a real mean phase factor ``L`` in [-1, 1] the discord is
-    ``((1+L) log2(1+L) + (1-L) log2(1-L)) / 2``; it is even in ``L`` and the
-    endpoints evaluate exactly to 0 and 1.
+    For a mean phase factor ``z``, real or complex, with ``L = |z| <= 1`` the
+    discord is ``((1+L) log2(1+L) + (1-L) log2(1-L)) / 2``; the endpoints
+    evaluate exactly to 0 and 1.
     """
-    lam = float(mean_phase_factor)
-    if not abs(lam) <= 1.0 + 1e-12:  # NaN fails it too
-        raise ValueError(f"mean phase factor must lie in [-1, 1], got {lam}")
-    a = min(abs(lam), 1.0)
+    lam = float(abs(mean_phase_factor))
+    if not lam <= 1.0 + 1e-12:  # NaN fails it too
+        raise ValueError(f"mean phase factor must lie in the unit disc, got {mean_phase_factor}")
+    a = min(lam, 1.0)
     if a == 0.0:
         return 0.0
     if a == 1.0:

@@ -341,6 +341,56 @@ class TestGridScreen:
             assert 0 < sum(scored) < 0.05 * len(states) * 64 * 128, (topology, sum(scored))
 
 
+def pure_state(vector):
+    vector = np.asarray(vector, dtype=complex)
+    vector = vector / np.linalg.norm(vector)
+    return np.outer(vector, vector.conj())
+
+
+def random_pure_state(seed):
+    rng = np.random.default_rng(seed)
+    return pure_state(rng.normal(size=4) + 1j * rng.normal(size=4))
+
+
+BELL_STATES = [pure_state(v) for v in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])]
+
+
+class TestPureOutcomeShortcut:
+    """A zero floor ends a state's grid scan at the first kept direction worth S(A)."""
+
+    @settings(max_examples=40)
+    @given(
+        rho=st.one_of(
+            st.integers(0, 2**32 - 1).map(random_pure_state),
+            st.sampled_from(BELL_STATES),
+            st.floats(0.0, 2.0 * math.pi).map(lambda a: dephased_bell_state(np.exp(1j * a))),
+        )
+    )
+    def test_pick_is_the_unscreened_grid_optimum(self, rho):
+        # whether or not the shortcut fires for this state
+        TestGridScreen._assert_screen_exact(rho[None])
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_only_the_t0_bell_state_skips_the_grid_scan(self, name, monkeypatch):
+        scans = []
+        sliced = correlations._sliced_entropies
+
+        def counting(parts, directions):
+            scans.append(len(directions))
+            return sliced(parts, directions)
+
+        monkeypatch.setattr(correlations, "_sliced_entropies", counting)
+        for topology in ("separate", "common"):
+            cfg = preset_config(name, topology, n_points=21)
+            states = _states_for(cfg, np.linspace(0.0, cfg.t_max, 21))
+            scans.clear()
+            measure_correlations(states)
+            assert len(scans) == 20, topology
+            scans.clear()
+            measure_correlations(states[:1])
+            assert scans == [], topology
+
+
 class TestDiscord:
     def test_bell_state_one_bit(self):
         assert discord(bell_projector()) == pytest.approx(1.0, abs=1e-9)
@@ -473,6 +523,15 @@ class TestClosedFormDiscord:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="must lie in"):
             dephased_bell_discord(math.nan)
+
+    @settings(max_examples=30)
+    @given(radius=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi))
+    def test_complex_factor_is_scored_by_its_modulus(self, radius, angle):
+        z = np.complex128(radius * np.exp(1j * angle))
+        for factor in (z, complex(z)):
+            assert dephased_bell_discord(factor) == dephased_bell_discord(abs(z))
+        # criterion 5's tolerance against the numeric discord
+        assert abs(dephased_bell_discord(z) - discord(dephased_bell_state(z))) <= 1e-4
 
 
 class TestClosedFormNegativities:

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from bellnoise import cli
 from bellnoise import correlations
-from bellnoise.correlations import CorrelationReport
+from bellnoise.correlations import CorrelationReport, static_negativity, telegraph_negativity
 from bellnoise.errors import InvalidStateError, NumericalError
 from bellnoise.linalg import validate_state
-from bellnoise.noise import TelegraphSpec, decay_factor
+from bellnoise.noise import StaticNoiseSpec, TelegraphSpec, decay_factor
 from bellnoise.scenarios import (
+    PRESETS,
     Curve,
     ScenarioConfig,
     _states_for,
@@ -365,6 +366,62 @@ class TestFeatures:
             extract_features(curve, quantity="entanglement")
 
 
+def closed_form_negativity(cfg, t):
+    if cfg.noise_kind == "static":
+        noise = StaticNoiseSpec(c0=cfg.c0, delta_c=cfg.delta_c)
+        return static_negativity(noise, cfg.nu, t, cfg.topology)
+    return telegraph_negativity(TelegraphSpec(gamma=cfg.gamma), cfg.nu, t, cfg.topology)
+
+
+def analytic_zeros(cfg):
+    """Times in ``(0, t_max]`` where the closed-form negativity vanishes."""
+    if cfg.noise_kind == "static":
+        # sinc(delta_c nu t)^2 or |sinc(2 delta_c nu t)|
+        rate = cfg.delta_c * cfg.nu * (1.0 if cfg.topology == "separate" else 2.0)
+        offset = 0.0
+    else:
+        # decay_factor(c, gamma, t) with c = 2 nu or 4 nu: a damped
+        # oscillation that vanishes where tan(delta t) = -delta / gamma
+        c = (2.0 if cfg.topology == "separate" else 4.0) * cfg.nu
+        if c <= cfg.gamma:
+            return np.array([])
+        rate = math.sqrt(c * c - cfg.gamma * cfg.gamma)
+        offset = math.atan(rate / cfg.gamma)
+    k = np.arange(1, math.floor((rate * cfg.t_max + offset) / math.pi) + 1)
+    return (k * math.pi - offset) / rate
+
+
+class TestDeathTimeOracle:
+    """Deaths of the closed-form negativity against the analytic zeros."""
+
+    @pytest.mark.parametrize("points", [201, 801])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_deaths_sit_at_the_zeros_that_revive(self, name, points):
+        for topology in ("separate", "common"):
+            cfg = preset_config(name, topology, n_points=points)
+            times = np.linspace(0.0, cfg.t_max, points)
+            step = times[1] - times[0]
+            found = find_deaths_and_revivals(
+                cfg.nu * times, closed_form_negativity(cfg, times), cfg.threshold
+            ).death_times
+            zeros = analytic_zeros(cfg)
+            if name == "fig2-markov":
+                assert zeros.size == 0 and found == [], topology
+            for death in found:
+                assert np.min(np.abs(zeros - death)) <= 0.25 * step, (topology, death)
+            # a zero is a death once the curve rises above the threshold
+            # again before the next zero or the end of the curve
+            ends = np.append(zeros[1:], cfg.t_max)
+            revived = [zero for zero, end in zip(zeros, ends)
+                       if np.max(closed_form_negativity(cfg, np.linspace(zero, end, 2001)))
+                       > cfg.threshold]
+            for zero in revived:
+                assert np.min(np.abs(np.asarray(found) - zero)) <= 0.25 * step, (topology, zero)
+            if (name, topology) == ("fig2-nonmarkov", "separate"):
+                # the last three revivals peak below the threshold
+                assert (len(zeros), len(revived)) == (13, 10)
+
+
 class TestCompareMethods:
     def test_quadrature_agrees_with_closed_form(self):
         cfg = static_config(method="quadrature", t_max=5.0, n_points=11)
@@ -614,6 +671,18 @@ class TestCli:
             assert result.returncode == 1, (case, result.stderr)
             assert "must be finite" in result.stderr
 
+    def test_negative_floats_in_any_form_are_flag_values(self):
+        # argparse alone reads "-1e-3" or "-inf" as an unknown flag
+        base = ("simulate", "--noise", "static", "--delta-c", "1", "--points", "3")
+        exponent = run_cli(*base, "--c0", "-1e-3")
+        assert exponent.returncode == 0, exponent.stderr
+        assert exponent.stdout == run_cli(*base, "--c0", "-0.001").stdout
+        for flag, value, message in (("--nu", "-1e-300", "nu must be positive"),
+                                     ("--t-max", "-inf", "t_max must be finite")):
+            result = run_cli(*base, "--c0", "1", flag, value)
+            assert result.returncode == 1, result.stderr
+            assert message in result.stderr
+
     def test_huge_rates_exit_cleanly(self):
         # squaring a rate beyond ~1e154 overflows: neither the telegraph decay
         # factor nor the static sinc may square one.  Past ~9e307 a sum of two
@@ -771,19 +840,22 @@ class TestCliFloatEdges:
         delta_c=ANY,
         points=st.integers(2, 64),
         samples=st.integers(1, 64),
+        spaced=st.booleans(),
     )
     def test_exits_with_a_finite_csv_or_a_one_line_message(
-        self, noise, method, topology, gamma, nu, t_max, c0, delta_c, points, samples
+        self, noise, method, topology, gamma, nu, t_max, c0, delta_c, points, samples, spaced
     ):
-        # ``--flag=value`` form, or argparse reads "-1e-300" as an option name.
-        # The block bound keeps every accepted Monte Carlo run short.
-        args = [f"--noise={noise}", f"--method={method}", f"--topology={topology}",
-                f"--nu={nu!r}", f"--t-max={t_max!r}", f"--points={points}",
-                f"--samples={samples}"]
+        # "--flag value" or "--flag=value".  The block bound keeps every
+        # accepted Monte Carlo run short.
+        pairs = [("--noise", noise), ("--method", method), ("--topology", topology),
+                 ("--nu", repr(nu)), ("--t-max", repr(t_max)), ("--points", str(points)),
+                 ("--samples", str(samples))]
         if noise == "rtn":
-            args.append(f"--gamma={gamma!r}")
+            pairs.append(("--gamma", repr(gamma)))
         else:
-            args += [f"--c0={c0!r}", f"--delta-c={delta_c!r}"]
+            pairs += [("--c0", repr(c0)), ("--delta-c", repr(delta_c))]
+        args = [part for flag, value in pairs
+                for part in ((flag, value) if spaced else (f"{flag}={value}",))]
         result = run_cli("simulate", *args)
         if result.returncode == 0:
             numeric, _ = parse_csv(result.stdout)
