@@ -19,7 +19,9 @@ hold its maximum.  The binary entropy obeys ``h(x) >= 4 x (1 - x)`` (Topsoe
 2001), so an outcome of probability ``p`` whose conditional block has
 determinant ``det`` adds at least ``4 det / p`` bits to ``S(A|B)``.  Trace and
 determinant are linear and quadratic in the direction, so the bound at every
-grid direction is a sum over nine cached monomials of the grid.  The exact
+grid direction is a sum over nine cached monomials of the grid, and a term
+whose coefficient is zero is left out.  Both marginals of a dephased Bell
+state are ``I/2``, which zeroes 9 of the 13 coefficients.  The exact
 entropy runs at the direction of lowest bound, and then only on the
 directions whose bound lies within a slack of 1e-8 of that value.  Every
 other direction's value lies provably below the best one, by far more than
@@ -33,13 +35,14 @@ exact value at the lowest bound is 0 and the first kept direction is worth
 
 :func:`measure_correlations` scores one state or a whole ``(n, 4, 4)`` stack
 in one call.  Validation, the marginal spectra and the partial-transpose
-spectra each take one eigensolve over the stack.  The grid is scored one
-state at a time in slices of at most 2048 directions, so that no temporary
-outgrows the allocator's small-block range.  The pattern search then runs
-for all states in lockstep: each keeps its own angles, value and step, and
-leaves the search once its step falls below the floor.  Every state's
-arithmetic is the same as when it is scored alone, so the results do not
-depend on the stack they came in.
+spectra each take one eigensolve over the stack.  The grid is screened 32
+states at a time, and one kernel call each scores a group's lowest-bound
+directions, its zero-floor probes and its kept directions (a state that keeps
+over 64 is scored alone, 2048 at a time), so that no temporary outgrows the
+allocator's small-block range.  The pattern search then runs for all states
+in lockstep: each keeps its own angles, value and step, and leaves the search
+once its step falls below the floor.  The kernel treats each direction on its
+own, so the results do not depend on the stack they came in.
 
 Closed-form companions for the dephased-Bell family produced by the evolver
 are included so every numeric path has an independent cross-check.
@@ -74,6 +77,12 @@ _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 # Directions per slice of the grid: the largest temporary, the (2048, 2, 4)
 # conditional states, stays at 128 KiB.
 _GRID_SLICE = 2048
+
+# States whose grid bounds are held at once: 32 x 8192 doubles, 2 MiB in
+# 64 KiB arrays.  A state that keeps at most _GRID_SLICE / _GRID_GROUP = 64
+# directions joins its group's shared kernel call, whose (32, <= 64, 2, 4)
+# conditional states stay at 128 KiB; one that keeps more is scored alone.
+_GRID_GROUP = 32
 
 # the measurement search's one configuration (see the module docstring)
 _THETA_POINTS = 64
@@ -274,22 +283,30 @@ def _bound_coefficients(parts):
     return trace, slope, 4.0 * even, 4.0 * linear
 
 
+def _polynomial(constant, coefficients, monomials):
+    """``constant`` plus each nonzero coefficient times its monomial, in order."""
+    total = constant
+    for coefficient, monomial in zip(coefficients, monomials):
+        if coefficient:
+            total = total + coefficient * monomial
+    return total
+
+
 def _entropy_bound(trace, slope, even, odd, monomials):
     """Lower bound on :func:`_entropies_after` of one state at every grid
     direction, from its :func:`_bound_coefficients` as lists.
 
     Each outcome of probability ``p > _SCREEN_P_MIN`` contributes ``4 det / p``
-    and the others 0.  The sums are written out so that no BLAS runs.
+    and the others 0.  The sums are written out so that no BLAS runs.  A zero
+    coefficient's term would add +-0.0, which could change only the sign of a
+    zero entry, and neither the screen's minimum nor its cut sees that sign.
     """
-    x, y, z = monomials[:3]
-    along = slope[0] * x + slope[1] * y + slope[2] * z
-    flip = odd[0] * x + odd[1] * y + odd[2] * z
-    level = even[0] + even[1] * monomials[3]
-    for coefficient, monomial in zip(even[2:], monomials[4:]):
-        level += coefficient * monomial
+    along = _polynomial(0.0, slope, monomials[:3])
+    flip = _polynomial(0.0, odd, monomials[:3])
+    level = _polynomial(even[0], even[1:], monomials[3:])
     bound = np.zeros(monomials.shape[1])
     for numerator, p in ((level + flip, trace + along), (level - flip, trace - along)):
-        bound += np.divide(numerator, p, out=np.zeros_like(p), where=p > _SCREEN_P_MIN)
+        bound += np.divide(numerator, p, out=np.zeros_like(bound), where=p > _SCREEN_P_MIN)
     return bound
 
 
@@ -309,23 +326,42 @@ def _search(parts, entropy_a):
     monomials = _grid_monomials()
     coefficients = [column.tolist() for column in _bound_coefficients(parts)]
     count = len(entropy_a)
-    value, theta, phi_az = np.empty(count), np.empty(count), np.empty(count)
-    for i in range(count):
+    value, best = np.empty(count), np.empty(count, dtype=int)
+
+    def pick(i, kept, values):
+        top = int(np.argmax(values))
+        value[i], best[i] = values[top], kept[top]
+
+    for start in range(0, count, _GRID_GROUP):
+        group = range(start, min(start + _GRID_GROUP, count))
         # Only directions whose bound is within the slack of one exact value
         # can hold the grid's maximum (see the module docstring).
-        bound = _entropy_bound(*(column[i] for column in coefficients), monomials)
-        floor = _entropies_after(parts[i], directions[int(np.argmin(bound))])
-        kept = np.flatnonzero(bound <= floor + _SCREEN_SLACK)
+        bounds = [_entropy_bound(*(column[i] for column in coefficients), monomials)
+                  for i in group]
+        floors = _entropies_after(parts[group], directions[[int(np.argmin(b)) for b in bounds]])
+        kept = {i: np.flatnonzero(b <= floor + _SCREEN_SLACK)
+                for i, b, floor in zip(group, bounds, floors)}
+        del bounds  # one group's bounds at a time (see _GRID_GROUP)
         # S(A|B) is never negative, so after a zero floor a first kept
         # direction worth S(A) is the grid's first maximum (module docstring)
-        values = None
-        if floor == 0.0:
-            values = entropy_a[i] - _entropies_after(parts[i], directions[kept[:1]])
-        if values is None or values[0] != entropy_a[i]:
-            values = entropy_a[i] - _sliced_entropies(parts[i], directions[kept])
-        pick = int(np.argmax(values))
-        best = kept[pick]
-        value[i], theta[i], phi_az[i] = values[pick], tt.flat[best], pp.flat[best]
+        probed = [i for i, floor in zip(group, floors) if floor == 0.0]
+        if probed:
+            firsts = directions[[kept[i][0] for i in probed]]
+            probes = entropy_a[probed] - _entropies_after(parts[probed], firsts)
+            for i, probe in zip(probed, probes):
+                if probe == entropy_a[i]:
+                    value[i], best[i] = probe, kept.pop(i)[0]
+        shared = [i for i in kept if kept[i].size <= _GRID_SLICE // _GRID_GROUP]
+        for i in kept.keys() - shared:
+            pick(i, kept[i], entropy_a[i] - _sliced_entropies(parts[i], directions[kept[i]]))
+        if shared:
+            # each row repeats its state's kept directions up to the widest set
+            width = max(kept[i].size for i in shared)
+            rows = directions[np.stack([np.resize(kept[i], width) for i in shared])]
+            scores = entropy_a[shared, None] - _entropies_after(parts[shared, None], rows)
+            for i, row in zip(shared, scores):
+                pick(i, kept[i], row[:kept[i].size])
+    theta, phi_az = tt.flat[best], pp.flat[best]
 
     step = np.full(count, max(math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS))
     active = np.arange(count)

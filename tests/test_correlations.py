@@ -35,7 +35,7 @@ from bellnoise.evolve import (
 )
 from bellnoise.linalg import partial_trace, vn_entropy
 from bellnoise.noise import StaticNoiseSpec, TelegraphSpec, decay_factor
-from bellnoise.scenarios import PRESETS, _states_for, preset_config
+from bellnoise.scenarios import PRESETS, ScenarioConfig, _states_for, preset_config
 
 from conftest import (
     bell_projector,
@@ -245,6 +245,84 @@ def bound_and_kernel(rho, directions):
     return bound, _entropies_after(parts[0], directions)
 
 
+def bound_with_every_term(trace, slope, even, odd, monomials):
+    """The screen's bound summed over all thirteen terms, zero coefficients
+    included: the arithmetic before zero terms were left out."""
+    x, y, z = monomials[:3]
+    along = slope[0] * x + slope[1] * y + slope[2] * z
+    flip = odd[0] * x + odd[1] * y + odd[2] * z
+    level = even[0] + even[1] * monomials[3]
+    for coefficient, monomial in zip(even[2:], monomials[4:]):
+        level += coefficient * monomial
+    bound = np.zeros(monomials.shape[1])
+    for numerator, p in ((level + flip, trace + along), (level - flip, trace - along)):
+        keep = p > correlations._SCREEN_P_MIN
+        bound += np.divide(numerator, p, out=np.zeros_like(p), where=keep)
+    return bound
+
+
+def kept_directions(rho):
+    """The screen's kept set of one state's grid, from the bound and the
+    kernel at every grid direction."""
+    bound, kernel = bound_and_kernel(rho, _measurement_grid()[2].reshape(-1, 3))
+    return np.flatnonzero(bound <= kernel[np.argmin(bound)] + correlations._SCREEN_SLACK)
+
+
+def grid_phase_counts(states):
+    """``(scored, calls)`` of the grid phase of one ``_search`` over a stack:
+    the directions the exact kernel scores for each state, and the number of
+    kernel calls.  Each direction is told to its state by the state's
+    measurement parts, so identical states (a curve whose ``z`` has
+    underflowed to 0) share their total evenly."""
+    parts = _measurement_parts(states)
+    keys = [row.tobytes() for row in parts]
+    totals, calls = dict.fromkeys(keys, 0), []
+
+    def counting(state_parts, n):
+        calls.append(n.shape)
+        for row in np.broadcast_to(state_parts, n.shape[:-1] + (4, 4)).reshape(-1, 4, 4):
+            totals[row.tobytes()] += 1
+        return _entropies_after(state_parts, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlations, "_entropies_after", counting)
+        # a step floor above the grid's first step ends the search on the grid itself
+        patch.setattr(correlations, "_STEP_FLOOR", 1.0)
+        _search(parts, vn_entropy(partial_trace(states, "A")))
+    return [totals[key] / keys.count(key) for key in keys], len(calls)
+
+
+def random_x_state(rng):
+    """An X state: nonzero entries on the diagonal and the anti-diagonal only."""
+    diagonal = rng.dirichlet(np.ones(4))
+    rho = np.diag(diagonal).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        size = math.sqrt(diagonal[i] * diagonal[j]) * rng.uniform(0.0, 1.0)
+        rho[i, j] = size * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rho[j, i] = np.conj(rho[i, j])
+    return rho
+
+
+def partly_vanishing_state(family, rotated, seed):
+    """A state of ``family`` whose screen coefficients vanish in part, after a
+    random local unitary on qubit ``rotated`` ("A", "B" or None)."""
+    rng = np.random.default_rng(seed)
+    if family == "dephased":
+        rho = dephased_bell_state(rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 6.3)))
+    elif family == "half-mixed B":
+        rho = np.kron(random_density(rng, n=2), np.eye(2) / 2)
+    elif family == "x":
+        rho = random_x_state(rng)
+    else:
+        rho = random_density(rng)
+    if rotated:
+        unitary = random_unitary(rng, n=2)
+        local = np.kron(unitary, np.eye(2)) if rotated == "A" else np.kron(np.eye(2), unitary)
+        rho = local @ rho @ local.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
 class TestGridScreen:
     """The bound screen keeps the grid's first maximum, bit for bit."""
 
@@ -279,6 +357,40 @@ class TestGridScreen:
         for topology in ("separate", "common"):
             cfg = preset_config(name, topology, n_points=21)
             self._assert_screen_exact(_states_for(cfg, np.linspace(0.0, cfg.t_max, 21)))
+
+    @settings(max_examples=60)
+    @given(
+        family=st.sampled_from(["dephased", "half-mixed B", "x", "full rank"]),
+        rotated=st.sampled_from([None, "A", "B"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_states_whose_bound_coefficients_vanish_in_part(self, family, rotated, seed):
+        # The bound leaves out the terms whose coefficients are zero.  That
+        # may flip the sign of a zero entry, which array_equal does not see.
+        rho = partly_vanishing_state(family, rotated, seed)
+        parts = _measurement_parts(rho[None])
+        coefficients = [column[0] for column in (c.tolist() for c in _bound_coefficients(parts))]
+        monomials = correlations._grid_monomials()
+        assert np.array_equal(_entropy_bound(*coefficients, monomials),
+                              bound_with_every_term(*coefficients, monomials))
+        self._assert_screen_exact(rho[None])
+
+    @pytest.mark.parametrize("topology", ["separate", "common"])
+    @pytest.mark.parametrize("method, noise", [
+        ("closed_form", "static"), ("closed_form", "rtn"), ("quadrature", "static"),
+        ("mc", "static"), ("mc", "rtn"),
+    ])
+    def test_every_route_zeroes_the_left_out_terms(self, method, noise, topology):
+        # Every route's states are dephased Bell states, whose marginals are
+        # I/2: the slope, the odd part and the mixed quadratic terms vanish
+        # exactly, so the bound skips them.  Rounding noise there would slow
+        # scoring down without failing any other test.
+        noise_params = dict(gamma=0.2) if noise == "rtn" else dict(c0=1.0, delta_c=1.0)
+        cfg = ScenarioConfig(noise_kind=noise, topology=topology, method=method,
+                             n_points=11, n_samples=512, **noise_params)
+        states = _states_for(cfg, np.linspace(0.0, cfg.t_max, cfg.n_points))
+        _, slope, even, odd = _bound_coefficients(_measurement_parts(states))
+        assert not slope.any() and not odd.any() and not even[:, 4:].any()
 
     @settings(max_examples=60)
     @given(
@@ -322,23 +434,15 @@ class TestGridScreen:
         assert np.allclose(bound, 0.0, atol=1e-15) and np.allclose(kernel, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_screen_scores_few_directions_after_t0(self, name, monkeypatch):
+    def test_screen_scores_few_directions_after_t0(self, name):
         # a guard against a screen that stops pruning: past t = 0 only the
         # directions near the optimum may reach the exact kernel
-        scored = []
-
-        def counting(parts, n):
-            if parts.ndim == 2:  # one state's grid, not the lockstep search
-                scored.append(n.size // 3)
-            return _entropies_after(parts, n)
-
-        monkeypatch.setattr(correlations, "_entropies_after", counting)
         for topology in ("separate", "common"):
             cfg = preset_config(name, topology, n_points=21)
             states = _states_for(cfg, np.linspace(0.0, cfg.t_max, 21))[1:]
-            scored.clear()
-            measure_correlations(states)
-            assert 0 < sum(scored) < 0.05 * len(states) * 64 * 128, (topology, sum(scored))
+            scored, _ = grid_phase_counts(states)
+            assert min(scored) > 0, topology
+            assert sum(scored) < 0.05 * len(states) * 64 * 128, (topology, sum(scored))
 
 
 def pure_state(vector):
@@ -371,24 +475,15 @@ class TestPureOutcomeShortcut:
         TestGridScreen._assert_screen_exact(rho[None])
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_only_the_t0_bell_state_skips_the_grid_scan(self, name, monkeypatch):
-        scans = []
-        sliced = correlations._sliced_entropies
-
-        def counting(parts, directions):
-            scans.append(len(directions))
-            return sliced(parts, directions)
-
-        monkeypatch.setattr(correlations, "_sliced_entropies", counting)
+    def test_only_the_t0_bell_state_skips_the_grid_scan(self, name):
+        # each state scores its lowest-bound direction, then the t = 0 Bell
+        # state its probe alone and every other state its kept set
         for topology in ("separate", "common"):
             cfg = preset_config(name, topology, n_points=21)
             states = _states_for(cfg, np.linspace(0.0, cfg.t_max, 21))
-            scans.clear()
-            measure_correlations(states)
-            assert len(scans) == 20, topology
-            scans.clear()
-            measure_correlations(states[:1])
-            assert scans == [], topology
+            expected = [2] + [1 + kept_directions(rho).size for rho in states[1:]]
+            assert grid_phase_counts(states)[0] == expected, topology
+            assert grid_phase_counts(states[:1])[0] == [2], topology
 
 
 class TestDiscord:
@@ -465,6 +560,41 @@ class TestStackScoring:
         for topology in ("separate", "common"):
             cfg = preset_config(name, topology, n_points=21)
             self._assert_alone_equal(_states_for(cfg, np.linspace(0.0, cfg.t_max, 21)))
+
+    def test_shuffled_stack_over_a_group_with_full_scans(self, rng):
+        # Random pure states whose zero-floor probe fails keep all 8192
+        # directions, across the kernel's slices.  Dephased states, rotated
+        # on B or not, keep 2 to 12 and share their group's call.
+        directions = _measurement_grid()[2].reshape(-1, 3)
+        failing = []
+        for seed in range(100):
+            rho = random_pure_state(seed)
+            kept = kept_directions(rho)
+            entropy_a = vn_entropy(partial_trace(rho, "A"))
+            probe = entropy_a - conditional_entropy(rho, directions[kept[0]])
+            if kept.size == 64 * 128 and probe != entropy_a:
+                failing.append(rho)
+            if len(failing) == 6:
+                break
+        states = BELL_STATES + failing + [random_density(rng) for _ in range(12)]
+        states += [partly_vanishing_state("dephased", rotated, seed)
+                   for seed, rotated in enumerate([None, "B"] * 9)]
+        states = np.stack(states)[rng.permutation(len(states))]
+        assert len(states) > correlations._GRID_GROUP and len(failing) == 6
+        self._assert_alone_equal(states)
+        TestGridScreen._assert_screen_exact(states)
+
+    @pytest.mark.parametrize("n_points, names", [(21, sorted(PRESETS)), (801, ["fig1-static"])])
+    def test_grid_phase_makes_at_most_three_kernel_calls_per_group(self, n_points, names):
+        # the lowest-bound directions, the zero-floor probes and the kept sets
+        # of a whole group of states take one call each (one per state before)
+        groups = math.ceil(n_points / correlations._GRID_GROUP)
+        for name in names:
+            for topology in ("separate", "common"):
+                cfg = preset_config(name, topology, n_points=n_points)
+                states = _states_for(cfg, np.linspace(0.0, cfg.t_max, n_points))
+                _, calls = grid_phase_counts(states)
+                assert calls <= 3 * groups, (name, topology, calls)
 
     def test_one_state_gives_one_report(self):
         # of floats; a stack of one state gives one report of length-1 arrays
