@@ -37,12 +37,12 @@ exact value at the lowest bound is 0 and the first kept direction is worth
 in one call.  Validation, the marginal spectra and the partial-transpose
 spectra each take one eigensolve over the stack.  The grid is screened 32
 states at a time, and one kernel call each scores a group's lowest-bound
-directions, its zero-floor probes and its kept directions (a state that keeps
-over 64 is scored alone, 2048 at a time), so that no temporary outgrows the
-allocator's small-block range.  The pattern search then runs for all states
-in lockstep: each keeps its own angles, value and step, and leaves the search
-once its step falls below the floor.  The kernel treats each direction on its
-own, so the results do not depend on the stack they came in.
+directions, its zero-floor probes and every 1024 of its kept directions, so
+that no temporary outgrows the allocator's small-block range.  The pattern
+search then runs for all states in lockstep: each keeps its own angles, value
+and step, and leaves the search once its step falls below the floor.  The
+kernel treats each direction on its own, so the results do not depend on the
+stack they came in.
 
 Closed-form companions for the dephased-Bell family produced by the evolver
 are included so every numeric path has an independent cross-check.
@@ -74,14 +74,15 @@ from .noise import decay_factor
 
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
-# Directions per slice of the grid: the largest temporary, the (2048, 2, 4)
-# conditional states, stays at 128 KiB.
-_GRID_SLICE = 2048
+# Directions per kernel call: the largest temporary, the (1024, 4, 4) parts
+# gathered for the directions' states, stays at 128 KiB.
+_GRID_SLICE = 1024
 
-# States whose grid bounds are held at once: 32 x 8192 doubles, 2 MiB in
-# 64 KiB arrays.  A state that keeps at most _GRID_SLICE / _GRID_GROUP = 64
-# directions joins its group's shared kernel call, whose (32, <= 64, 2, 4)
-# conditional states stay at 128 KiB; one that keeps more is scored alone.
+# States screened at once.  Their bounds take 32 x 8192 doubles, 2 MiB, and
+# are freed once the (32, 8192) kept mask, 256 KiB, is built.  The kept
+# directions' flat indices and values then take 16 bytes per direction: a few
+# KiB for the evolver's states, which keep 4 to 12 directions each, and at
+# most 4 MiB for states outside its family, which keep up to all 8192.
 _GRID_GROUP = 32
 
 # the measurement search's one configuration (see the module docstring)
@@ -283,15 +284,6 @@ def _bound_coefficients(parts):
     return trace, slope, 4.0 * even, 4.0 * linear
 
 
-def _polynomial(constant, coefficients, monomials):
-    """``constant`` plus each nonzero coefficient times its monomial, in order."""
-    total = constant
-    for coefficient, monomial in zip(coefficients, monomials):
-        if coefficient:
-            total = total + coefficient * monomial
-    return total
-
-
 def _entropy_bound(trace, slope, even, odd, monomials):
     """Lower bound on :func:`_entropies_after` of one state at every grid
     direction, from its :func:`_bound_coefficients` as lists.
@@ -301,9 +293,9 @@ def _entropy_bound(trace, slope, even, odd, monomials):
     coefficient's term would add +-0.0, which could change only the sign of a
     zero entry, and neither the screen's minimum nor its cut sees that sign.
     """
-    along = _polynomial(0.0, slope, monomials[:3])
-    flip = _polynomial(0.0, odd, monomials[:3])
-    level = _polynomial(even[0], even[1:], monomials[3:])
+    along = sum((c * m for c, m in zip(slope, monomials[:3]) if c), 0.0)
+    flip = sum((c * m for c, m in zip(odd, monomials[:3]) if c), 0.0)
+    level = sum((c * m for c, m in zip(even[1:], monomials[3:]) if c), even[0])
     bound = np.zeros(monomials.shape[1])
     for numerator, p in ((level + flip, trace + along), (level - flip, trace - along)):
         bound += np.divide(numerator, p, out=np.zeros_like(bound), where=p > _SCREEN_P_MIN)
@@ -326,42 +318,40 @@ def _search(parts, entropy_a):
     monomials = _grid_monomials()
     coefficients = [column.tolist() for column in _bound_coefficients(parts)]
     count = len(entropy_a)
-    value, best = np.empty(count), np.empty(count, dtype=int)
-
-    def pick(i, kept, values):
-        top = int(np.argmax(values))
-        value[i], best[i] = values[top], kept[top]
-
+    value, grid_best = np.empty(count), np.empty(count, dtype=int)
     for start in range(0, count, _GRID_GROUP):
-        group = range(start, min(start + _GRID_GROUP, count))
+        group = np.arange(start, min(start + _GRID_GROUP, count))
         # Only directions whose bound is within the slack of one exact value
         # can hold the grid's maximum (see the module docstring).
-        bounds = [_entropy_bound(*(column[i] for column in coefficients), monomials)
-                  for i in group]
-        floors = _entropies_after(parts[group], directions[[int(np.argmin(b)) for b in bounds]])
-        kept = {i: np.flatnonzero(b <= floor + _SCREEN_SLACK)
-                for i, b, floor in zip(group, bounds, floors)}
-        del bounds  # one group's bounds at a time (see _GRID_GROUP)
+        bounds = np.empty((group.size, len(directions)))
+        for k, i in enumerate(group):
+            bounds[k] = _entropy_bound(*(column[i] for column in coefficients), monomials)
+        floors = _entropies_after(parts[group], directions[bounds.argmin(axis=1)])
+        kept = bounds <= floors[:, None] + _SCREEN_SLACK
+        del bounds  # before the kept directions are scored (see _GRID_GROUP)
         # S(A|B) is never negative, so after a zero floor a first kept
         # direction worth S(A) is the grid's first maximum (module docstring)
-        probed = [i for i, floor in zip(group, floors) if floor == 0.0]
-        if probed:
-            firsts = directions[[kept[i][0] for i in probed]]
-            probes = entropy_a[probed] - _entropies_after(parts[probed], firsts)
-            for i, probe in zip(probed, probes):
-                if probe == entropy_a[i]:
-                    value[i], best[i] = probe, kept.pop(i)[0]
-        shared = [i for i in kept if kept[i].size <= _GRID_SLICE // _GRID_GROUP]
-        for i in kept.keys() - shared:
-            pick(i, kept[i], entropy_a[i] - _sliced_entropies(parts[i], directions[kept[i]]))
-        if shared:
-            # each row repeats its state's kept directions up to the widest set
-            width = max(kept[i].size for i in shared)
-            rows = directions[np.stack([np.resize(kept[i], width) for i in shared])]
-            scores = entropy_a[shared, None] - _entropies_after(parts[shared, None], rows)
-            for i, row in zip(shared, scores):
-                pick(i, kept[i], row[:kept[i].size])
-    theta, phi_az = tt.flat[best], pp.flat[best]
+        probed = np.flatnonzero(floors == 0.0)
+        if probed.size:
+            firsts, members = kept[probed].argmax(axis=1), group[probed]
+            probes = entropy_a[members] - _entropies_after(parts[members], directions[firsts])
+            done = probes == entropy_a[members]
+            value[members[done]], grid_best[members[done]] = probes[done], firsts[done]
+            kept[probed[done]] = False
+        # every kept direction of the group, in state order, with its own state's parts
+        flat = np.flatnonzero(kept)
+        scores = np.empty(flat.size)
+        for cut in range(0, flat.size, _GRID_SLICE):
+            owner, index = np.divmod(flat[cut:cut + _GRID_SLICE], len(directions))
+            members = group[owner]
+            scores[cut:cut + _GRID_SLICE] = entropy_a[members] - _entropies_after(
+                parts[members], directions[index])
+        ends = np.cumsum(kept.sum(axis=1))
+        for i, low, high in zip(group, np.r_[0, ends[:-1]], ends):
+            if high > low:
+                top = low + int(np.argmax(scores[low:high]))
+                value[i], grid_best[i] = scores[top], flat[top] % len(directions)
+    theta, phi_az = tt.flat[grid_best], pp.flat[grid_best]
 
     step = np.full(count, max(math.pi / (_THETA_POINTS - 1), 2.0 * math.pi / _PHI_POINTS))
     active = np.arange(count)

@@ -563,8 +563,9 @@ class TestStackScoring:
 
     def test_shuffled_stack_over_a_group_with_full_scans(self, rng):
         # Random pure states whose zero-floor probe fails keep all 8192
-        # directions, across the kernel's slices.  Dephased states, rotated
-        # on B or not, keep 2 to 12 and share their group's call.
+        # directions, across the kernel's slices and mixed with other states'
+        # directions within a slice.  Dephased states, rotated on B or not,
+        # keep 2 to 12.
         directions = _measurement_grid()[2].reshape(-1, 3)
         failing = []
         for seed in range(100):
