@@ -26,10 +26,7 @@ from .evolve import (
     realization_state,
 )
 from .linalg import (
-    BELL_PROJECTOR,
-    eigh_hermitian,
     eigvals_hermitian,
-    kron,
     partial_trace,
     partial_transpose_b,
     validate_state,

@@ -196,15 +196,6 @@ def _entropies_after(parts, n):
     return np.sum(np.where(relevant, probabilities * outcome_entropy, 0.0), axis=-1)
 
 
-def _sliced_entropies(parts, directions):
-    """:func:`_entropies_after` of one state for ``(m, 3)`` directions, a slice at a time."""
-    out = np.empty(len(directions))
-    for start in range(0, len(directions), _GRID_SLICE):
-        stop = start + _GRID_SLICE
-        out[start:stop] = _entropies_after(parts, directions[start:stop])
-    return out
-
-
 def conditional_entropy(rho, directions):
     """Average post-measurement entropy of qubit A for projective measurements
     of qubit B along ``directions`` (shape (..., 3) of unit vectors).
@@ -213,10 +204,8 @@ def conditional_entropy(rho, directions):
     under negating a direction, since that only relabels the two outcomes.
     """
     parts = _measurement_parts(np.asarray(rho, dtype=complex).reshape(1, 4, 4))[0]
-    directions = np.asarray(directions, dtype=float)
-    batch_shape = directions.shape[:-1]
-    total = _sliced_entropies(parts, directions.reshape(-1, 3))
-    return total.reshape(batch_shape) if batch_shape else float(total[0])
+    total = _entropies_after(parts, np.asarray(directions, dtype=float))
+    return total if total.ndim else float(total)
 
 
 @functools.cache
@@ -500,6 +489,8 @@ def static_negativity(noise, nu, t, topology):
     negative.
     """
     check_topology(topology)
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and positive, got {nu}")
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise ValueError("t must be finite and nonnegative")

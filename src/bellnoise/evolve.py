@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,23 +64,18 @@ _DEFAULT_NODES = 64
 MAX_NODES = 1024
 
 
-def __getattr__(name):
-    # The process-pool stack (concurrent.futures, multiprocessing and the
-    # thirty-odd modules they import) loads on the first pool start rather
-    # than with the package: most runs never start a pool.  Once loaded, the
-    # class is an ordinary module global that tests can patch.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def check_topology(topology):
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}, expected one of {TOPOLOGIES}")
     return topology
+
+
+def check_telegraph_block(rtn, horizon):
+    """Refuse Monte Carlo trajectories on ``[0, horizon]`` wider than one kernel block:
+    their memory and time grow without bound, and the closed form is exact at any rate."""
+    if _telegraph_block_width(rtn, horizon) > _BLOCK_ELEMENTS:
+        raise ValueError(f"rtn mc trajectories at gamma*t_max={rtn.gamma * horizon:g} "
+                         f"outgrow one kernel block; use --method closed_form")
 
 
 @dataclass(frozen=True)
@@ -296,9 +290,11 @@ def _mc_mean(chunk_fn, payload, n_samples, workers, chunk_s):
     pool_size = min(int(workers), len(tasks), cpus or 1)
     saving = chunk_s * len(tasks) * (1.0 - 1.0 / pool_size)
     if saving > 2.0 * _POOL_START_S * pool_size:
-        # looked up on the module, which loads it on the first pool start
-        executor = sys.modules[__name__].ProcessPoolExecutor
-        with executor(max_workers=pool_size) as pool:
+        # concurrent.futures and multiprocessing (thirty-odd modules) load on the
+        # first pool start, not with the package: most runs never start a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             batch = math.ceil(len(tasks) / pool_size)
             partials = list(pool.map(chunk_fn, tasks, chunksize=batch))
     else:
@@ -388,6 +384,7 @@ def average_rtn_mc(ham, rtn, topology, t_grid, n_traj, seed, workers=1):
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     times, shape = _time_grid(t_grid)
+    check_telegraph_block(rtn, float(times.max()))
     payload = (ham, rtn, topology, times, int(seed))
     rows, queries = (2, times.size) if topology == "separate" else (1, 2 * times.size + 1)
     chunk_s = rows * (rtn.gamma * float(times.max()) + queries) * _RTN_UNIT_S

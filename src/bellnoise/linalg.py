@@ -13,34 +13,13 @@ import numpy as np
 
 from .errors import InvalidStateError, NumericalError
 
-IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-# projector onto (|00> + |11>)/sqrt(2); entries written out so they are exact
-BELL_PROJECTOR = np.array(
-    [
-        [0.5, 0.0, 0.0, 0.5],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.5, 0.0, 0.0, 0.5],
-    ],
-    dtype=complex,
-)
-
 _HERMITICITY_TOL = 1e-10
 _STATE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
-
-
-def kron(a, b):
-    """Kronecker product of two single-qubit operators (2x2 -> 4x4)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"kron expects 2x2 factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
 
 
 def _check_two_qubit(rho):
@@ -73,8 +52,8 @@ def partial_trace(rho, keep):
     raise ValueError(f"unknown subsystem label {keep!r}, expected 'A' or 'B'")
 
 
-def eigh_hermitian(m):
-    """Eigenvalues (ascending) and eigenvector columns of a small Hermitian matrix.
+def eigvals_hermitian(m):
+    """Sorted (ascending) real eigenvalues of a small Hermitian matrix (or of each in a stack).
 
     Input must be Hermitian within 1e-10; it is symmetrised before the solve
     so that rounding-level asymmetry from ensemble averaging is absorbed.
@@ -91,15 +70,9 @@ def eigh_hermitian(m):
     if asymmetry > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asymmetry:.3e}")
     try:
-        w, v = np.linalg.eigh(0.5 * (a + adjoint))
+        return np.linalg.eigh(0.5 * (a + adjoint))[0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    return w, v
-
-
-def eigvals_hermitian(m):
-    """Sorted (ascending) real eigenvalues of a small Hermitian matrix (or of each in a stack)."""
-    return eigh_hermitian(m)[0]
 
 
 def eigvals_two_level(diag_first, diag_second, off):

@@ -89,8 +89,13 @@ def sample_static(spec, rng, stratum=0, strata=1):
     With ``strata > 1`` the draw is uniform on slice ``stratum`` of ``strata``
     equal slices of the support, so one draw from each slice is a stratified
     sample of the whole distribution.  An array of strata draws one value per
-    entry, in one call to ``rng``; a scalar stratum returns a float.
+    entry, in one call to ``rng``; a scalar stratum returns a float.  A
+    stratum outside ``[0, strata)`` raises ``ValueError``.
     """
+    stratum = np.asarray(stratum)
+    inside = (stratum >= 0) & (stratum < strata)
+    if not inside.all():
+        raise ValueError(f"stratum must lie in [0, {strata}), got {stratum[~inside].flat[0]}")
     fraction = (stratum + rng.random(np.shape(stratum))) / strata
     value = spec.low + (spec.high - spec.low) * fraction
     return float(value) if np.ndim(value) == 0 else value

@@ -25,17 +25,17 @@ from .correlations import (
 )
 from .errors import SimulationError
 from .evolve import (
-    _BLOCK_ELEMENTS,
     MAX_NODES,
     TOPOLOGIES,
     HamiltonianSpec,
     average_rtn_mc,
     average_static_mc,
     average_static_quadrature,
+    check_telegraph_block,
     closed_form_rtn,
     closed_form_static,
 )
-from .noise import StaticNoiseSpec, TelegraphSpec, _telegraph_block_width
+from .noise import StaticNoiseSpec, TelegraphSpec
 
 NOISE_KINDS = ("static", "rtn")
 METHODS = ("mc", "quadrature", "closed_form")
@@ -119,14 +119,10 @@ class ScenarioConfig:
         # checked whatever the method, so compare rejects it before any quadrature
         if self.quad_nodes is not None and not 2 <= self.quad_nodes <= MAX_NODES:
             problems.append(f"quad_nodes must be 2 to {MAX_NODES}, got {self.quad_nodes}")
-        # a trajectory wider than one kernel block makes the run's memory and
-        # time grow without bound; the closed form is exact at any rate
-        if not problems and self.noise_kind == "rtn" and self.method == "mc":
-            if _telegraph_block_width(self.noise_spec(), self.t_max) > _BLOCK_ELEMENTS:
-                problems.append(f"rtn mc trajectories at gamma*t_max={self.gamma * self.t_max:g} "
-                                f"outgrow one kernel block; use --method closed_form")
         if problems:
             raise ValueError("invalid scenario config: " + "; ".join(problems))
+        if self.noise_kind == "rtn" and self.method == "mc":
+            check_telegraph_block(self.noise_spec(), self.t_max)
 
     def hamiltonian(self):
         return HamiltonianSpec(nu=self.nu)
@@ -298,7 +294,7 @@ def emit_csv(curve):
     labels = f",{cfg.method},{cfg.topology},{cfg.noise_kind}\n"
     # tolist() first: numpy 2 reprs its scalars as np.float64(...)
     columns = [curve.times.tolist()] + [curve.column(q).tolist() for q in QUANTITIES]
-    header = "nt,negativity,discord,mutual_info,classical,method,topology,noise\n"
+    header = ",".join(("nt",) + QUANTITIES + ("method", "topology", "noise")) + "\n"
     return header + "".join(",".join(map(repr, row)) + labels for row in zip(*columns))
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,12 @@ def no_leftover_processes():
     yield
     left = multiprocessing.active_children()
     assert not left, f"child processes still running after the tests: {left}"
+
+
+def child_env():
+    """Environment for a child interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -42,16 +50,6 @@ def random_unitary(rng, n=4):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def kron_reference(a, b):
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
-    return out
 
 
 def partial_transpose_reference(rho):

@@ -18,6 +18,8 @@ from scipy import integrate
 import bellnoise as bn
 from bellnoise.noise import accumulate_block_phases, sample_telegraph_block
 
+from conftest import child_env
+
 NU = 1.0
 HAM = bn.HamiltonianSpec(nu=NU)
 MC_SEED = 0
@@ -422,6 +424,7 @@ class TestCriterion10Determinism:
                 ],
                 capture_output=True,
                 text=True,
+                env=child_env(),
             )
             assert result.returncode == 0, result.stderr
             outputs[workers] = out.read_bytes()

@@ -697,6 +697,13 @@ class TestClosedFormNegativities:
             with pytest.raises(ValueError, match="t must be finite and nonnegative"):
                 telegraph_negativity(TelegraphSpec(gamma=1.0), 1.0, t, topology)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan, 0.0, -1.0])
+    def test_static_rejects_a_non_positive_or_non_finite_coupling(self, nu):
+        noise = StaticNoiseSpec(c0=1.0, delta_c=1.0)
+        for topology in ("separate", "common"):
+            with pytest.raises(ValueError, match="nu must be finite and positive"):
+                static_negativity(noise, nu, 1.0, topology)
+
     def test_telegraph_time_zero(self):
         spec = TelegraphSpec(gamma=0.2)
         for topo in ("separate", "common"):

@@ -85,6 +85,13 @@ class TestStaticSampler:
         assert np.max(np.abs(block - np.array(scalar))) <= 1e-15
         assert isinstance(sample_static(spec, rng), float)
 
+    @pytest.mark.parametrize("stratum", [5, 2, -3, np.array([0, 1, 2]), np.array([[0], [-1]])])
+    def test_rejects_a_stratum_outside_the_slices(self, stratum):
+        # stratum 5 of 2 on [0.5, 1.5] used to return 3.318, outside the support
+        spec = StaticNoiseSpec(c0=1.0, delta_c=1.0)
+        with pytest.raises(ValueError, match=r"stratum must lie in \[0, 2\)"):
+            sample_static(spec, substream(104, 0), stratum, 2)
+
 
 class TestTelegraphSampler:
     def test_flip_count_is_poisson_mean(self):

@@ -35,6 +35,8 @@ from bellnoise.scenarios import (
     run_scenario,
 )
 
+from conftest import child_env
+
 
 def rtn_config(**overrides):
     base = dict(
@@ -534,7 +536,7 @@ class TestCli:
         args = ("compare", "--noise", "static", "--c0", "1", "--delta-c", "1", "--points", "3",
                 "--method", "quadrature,closed_form", "--tolerance", "1e-18")
         result = subprocess.run([sys.executable, "-m", "bellnoise", *args],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=child_env())
         assert result.returncode == 2, result.stderr
         assert "result: FAIL" in result.stdout
         assert result.stderr == ""
