@@ -7,11 +7,16 @@ report), and ``preset`` (named scenario bundles).  Exit codes: 0 success,
 
 Every run that writes a CSV also writes the fully resolved configuration to
 ``<csv>.config`` so results stay reproducible.
+
+In-process calls to :func:`main` share one parser per process, built on the
+first call: argparse keeps no state between parses, so each call behaves as
+if its parser were new.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields, replace
 from itertools import zip_longest
@@ -102,6 +107,11 @@ def build_parser():
     return parser
 
 
+# Built on the first main() call, not at import: a parser costs ~70
+# add_argument calls and leaves hundreds of objects in reference cycles.
+_parser = functools.cache(build_parser)
+
+
 def _resolve_config(args, base=None):
     values = dict(base or {})
     if getattr(args, "config", None):
@@ -184,9 +194,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (InvalidStateError, NumericalError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -506,6 +506,8 @@ def telegraph_negativity(rtn, nu, t, topology):
     """Closed-form negativity under telegraph noise:
     ``decay_factor(2 nu)^2`` (separate) or ``|decay_factor(4 nu)|`` (common)."""
     check_topology(topology)
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and positive, got {nu}")
     if topology == "separate":
         out = decay_factor(2.0 * nu, rtn.gamma, t) ** 2
     else:

@@ -45,6 +45,11 @@ class StaticNoiseSpec:
         return self.c0 + 0.5 * self.delta_c
 
 
+def _check_gamma(gamma):
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+
+
 @dataclass(frozen=True)
 class TelegraphSpec:
     """Random telegraph noise switching between -1 and +1 at rate ``gamma``."""
@@ -52,8 +57,7 @@ class TelegraphSpec:
     gamma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,8 +246,7 @@ def decay_factor(coupling, gamma, t):
     """
     if not (math.isfinite(coupling) and coupling >= 0):
         raise ValueError(f"coupling must be finite and nonnegative, got {coupling}")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    _check_gamma(gamma)
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t < math.inf)):
         raise ValueError("t must be finite and nonnegative")
@@ -388,10 +391,12 @@ def telegraph_phase_density(nu, gamma, t, phi):
 
 def telegraph_autocorrelation(gamma, t):
     """Stationary autocorrelation ``<c(t) c(0)> = exp(-2 gamma |t|)``."""
+    _check_gamma(gamma)
     return np.exp(-2.0 * gamma * np.abs(np.asarray(t, dtype=float)))[()]
 
 
 def telegraph_spectrum(gamma, omega):
     """Lorentzian power spectrum ``4 gamma / (omega^2 + 4 gamma^2)``."""
+    _check_gamma(gamma)
     omega = np.asarray(omega, dtype=float)
     return (4.0 * gamma / (omega * omega + 4.0 * gamma * gamma))[()]

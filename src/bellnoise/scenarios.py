@@ -40,6 +40,8 @@ from .noise import StaticNoiseSpec, TelegraphSpec
 NOISE_KINDS = ("static", "rtn")
 METHODS = ("mc", "quadrature", "closed_form")
 QUANTITIES = ("negativity", "discord", "mutual_info", "classical")
+# the columns emit_csv writes: the time, one per quantity, then three labels
+_CSV_COLUMNS = ("nt",) + QUANTITIES + ("method", "topology", "noise")
 
 
 @dataclass
@@ -294,15 +296,25 @@ def emit_csv(curve):
     labels = f",{cfg.method},{cfg.topology},{cfg.noise_kind}\n"
     # tolist() first: numpy 2 reprs its scalars as np.float64(...)
     columns = [curve.times.tolist()] + [curve.column(q).tolist() for q in QUANTITIES]
-    header = ",".join(("nt",) + QUANTITIES + ("method", "topology", "noise")) + "\n"
+    header = ",".join(_CSV_COLUMNS) + "\n"
     return header + "".join(",".join(map(repr, row)) + labels for row in zip(*columns))
 
 
 def parse_csv(text):
-    """Parse :func:`emit_csv` output back into arrays and label columns."""
+    """Parse :func:`emit_csv` output back into arrays and label columns.
+
+    Raises ``ValueError`` on text that :func:`emit_csv` never writes: a
+    missing or different header, or a row with a different number of cells.
+    """
     lines = [line for line in text.splitlines() if line]
-    header = lines[0].split(",")
+    header = tuple(lines[0].split(",")) if lines else ()
+    if header != _CSV_COLUMNS:
+        raise ValueError(f"csv header must be {','.join(_CSV_COLUMNS)!r}, "
+                         f"got {lines[0] if lines else 'none'!r}")
     rows = [line.split(",") for line in lines[1:]]
+    for k, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"csv row {k} has {len(row)} cells, expected {len(header)}")
     numeric = {
         name: np.array([float(row[j]) for row in rows])
         for j, name in enumerate(header[:5])

@@ -704,6 +704,14 @@ class TestClosedFormNegativities:
             with pytest.raises(ValueError, match="nu must be finite and positive"):
                 static_negativity(noise, nu, 1.0, topology)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan, 0.0, -1.0])
+    def test_telegraph_rejects_a_non_positive_or_non_finite_coupling(self, nu):
+        # the message names nu, not the coupling 2 nu or 4 nu decay_factor sees
+        spec = TelegraphSpec(gamma=1.0)
+        for topology in ("separate", "common"):
+            with pytest.raises(ValueError, match="nu must be finite and positive"):
+                telegraph_negativity(spec, nu, 2.0, topology)
+
     def test_telegraph_time_zero(self):
         spec = TelegraphSpec(gamma=0.2)
         for topo in ("separate", "common"):

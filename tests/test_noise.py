@@ -588,3 +588,10 @@ class TestAutocorrelationAndSpectrum:
         gamma = 1.3
         total, _ = integrate.quad(lambda w: telegraph_spectrum(gamma, w), -np.inf, np.inf)
         assert total == pytest.approx(2.0 * math.pi, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_non_positive_or_non_finite_rate(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            telegraph_autocorrelation(gamma, 1.0)
+        with pytest.raises(ValueError, match="gamma must be finite and positive"):
+            telegraph_spectrum(gamma, 0.0)

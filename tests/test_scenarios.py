@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import re
@@ -293,6 +294,19 @@ class TestCsv:
     def test_byte_deterministic(self):
         cfg = rtn_config(n_points=5)
         assert emit_csv(run_scenario(cfg)).encode() == emit_csv(run_scenario(cfg)).encode()
+
+    @pytest.mark.parametrize("text", ["", "\n", "nt,negativity\n0.0,1.0\n",
+                                      "negativity,nt,discord,mutual_info,classical,method,topology,noise\n"])
+    def test_parse_refuses_a_missing_or_foreign_header(self, text):
+        with pytest.raises(ValueError, match="csv header must be"):
+            parse_csv(text)
+
+    @pytest.mark.parametrize("cells", [3, 7, 9])
+    def test_parse_refuses_a_row_with_a_different_cell_count(self, cells):
+        header, first, second = emit_csv(run_scenario(rtn_config(n_points=2))).splitlines()
+        row = (second.split(",") + ["extra"])[:cells]
+        with pytest.raises(ValueError, match=f"csv row 2 has {cells} cells, expected 8"):
+            parse_csv("\n".join([header, first, ",".join(row)]))
 
 
 class TestFeatures:
@@ -822,6 +836,85 @@ class TestCli:
             path = tmp_path / f"fig2-nonmarkov-{topology}.csv"
             assert path.exists()
             assert Path(str(path) + ".config").exists()
+
+
+STATIC_FLAGS = ("--noise", "static", "--c0", "1", "--delta-c", "1", "--points", "5")
+RTN_FLAGS = ("--noise", "rtn", "--gamma", "0.2", "--points", "5")
+COMPARE = ("compare", *STATIC_FLAGS, "--method", "quadrature,closed_form")
+# every subcommand with its outcomes, in an order that puts errors between runs
+SHARED_PARSER_CASES = [
+    (("preset", "fig2-nonmarkov", "--points", "5", "--out", "presets"), 0),
+    (("simulate", *RTN_FLAGS, "--method", "closed_form", "--out", "rtn.csv"), 0),
+    (("simulate", "--noise", "pink"), 1),
+    (("simulate", *STATIC_FLAGS, "--method", "quadrature"), 0),
+    (("simulate", *STATIC_FLAGS, "--method", "mc", "--samples", "64", "--out", "mc.csv"), 0),
+    (("simulate", "--bogus", "1"), 1),
+    (("simulate", *RTN_FLAGS, "--method", "mc", "--samples", "32", "--seed", "5"), 0),
+    (COMPARE, 0),
+    ((*COMPARE, "--tolerance", "1e-18"), 2),
+    (("compare", *STATIC_FLAGS), 1),
+    (("features", *STATIC_FLAGS[:-1], "41", "--method", "closed_form", "--t-max", "8"), 0),
+    (("simulate", "--noise", "rtn", "--method", "closed_form"), 1),
+    (("preset", "no-such-preset"), 1),
+    ((), 1),
+    (("simulate", "--noise", "static", "--topology", "common", "--method", "quadrature",
+      "--c0", "1", "--delta-c", "1", "--t-max", "100", "--nodes", "64"), 3),
+    (("simulate", *RTN_FLAGS, "--method", "closed_form", "--points", "3"), 0),
+    *((command + ("--help",), "help") for command in
+      [(), ("simulate",), ("compare",), ("features",), ("preset",)]),
+]
+
+
+def run_cases(cases):
+    """Exit code (or ``"help"`` for argparse's exit 0), stdout and stderr of each call,
+    then the bytes of every file the calls wrote under the working directory."""
+    outcomes = []
+    for argv, _ in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = "help" if exc.code == 0 else exc.code
+        outcomes.append((argv, code, out.getvalue(), err.getvalue()))
+    files = {path.as_posix(): path.read_bytes() for path in Path(".").rglob("*") if path.is_file()}
+    return outcomes, files
+
+
+class TestSharedParser:
+    """main() builds its parser on the first call and reuses it for the process."""
+
+    def test_a_mixed_sequence_matches_fresh_parsers(self, tmp_path, monkeypatch):
+        (tmp_path / "shared").mkdir()
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "shared")
+        shared = run_cases(SHARED_PARSER_CASES)
+        assert cli._parser() is cli._parser()
+        assert [code for _, code, _, _ in shared[0]] == [code for _, code in SHARED_PARSER_CASES]
+        assert all(out.startswith("usage: bellnoise")
+                   for _, code, out, _ in shared[0] if code == "help")
+        assert len(shared[1]) == 8  # two preset CSVs, rtn.csv and mc.csv, each with a sidecar
+        # the same calls, each with a parser of its own
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        monkeypatch.chdir(tmp_path / "fresh")
+        assert run_cases(SHARED_PARSER_CASES) == shared
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path, monkeypatch):
+        # a parser is a web of reference cycles: one built per call is left to the collector
+        monkeypatch.chdir(tmp_path)
+        for argv, code in SHARED_PARSER_CASES:
+            if code == 0:
+                run_cases([(argv, code)])  # warm-up: builds the parser, fills caches
+                gc.collect()
+                run_cases([(argv, code)])
+                assert gc.collect() == 0, argv
+
+    def test_import_builds_no_parser(self):
+        code = "import bellnoise.cli as cli\nprint(cli._parser.cache_info().currsize)\n"
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "0\n"
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestCliFloatEdges:
