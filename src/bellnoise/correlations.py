@@ -70,7 +70,7 @@ from .linalg import (
     validate_state,
     vn_entropy,
 )
-from .noise import decay_factor
+from .noise import _check_nonnegative, _check_positive, decay_factor
 
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
@@ -489,16 +489,9 @@ def static_negativity(noise, nu, t, topology):
     negative.
     """
     check_topology(topology)
-    if not (math.isfinite(nu) and nu > 0):
-        raise ValueError(f"nu must be finite and positive, got {nu}")
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t < math.inf)):
-        raise ValueError("t must be finite and nonnegative")
-    x = noise.delta_c * nu * t
-    if topology == "separate":
-        out = sinc(x) ** 2
-    else:
-        out = np.abs(sinc(2.0 * x))
+    _check_positive("nu", nu)
+    x = noise.delta_c * nu * _check_nonnegative("t", t)
+    out = sinc(x) ** 2 if topology == "separate" else np.abs(sinc(2.0 * x))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -506,10 +499,7 @@ def telegraph_negativity(rtn, nu, t, topology):
     """Closed-form negativity under telegraph noise:
     ``decay_factor(2 nu)^2`` (separate) or ``|decay_factor(4 nu)|`` (common)."""
     check_topology(topology)
-    if not (math.isfinite(nu) and nu > 0):
-        raise ValueError(f"nu must be finite and positive, got {nu}")
-    if topology == "separate":
-        out = decay_factor(2.0 * nu, rtn.gamma, t) ** 2
-    else:
-        out = np.abs(decay_factor(4.0 * nu, rtn.gamma, t))
+    _check_positive("nu", nu)
+    out = (decay_factor(2.0 * nu, rtn.gamma, t) ** 2 if topology == "separate"
+           else np.abs(decay_factor(4.0 * nu, rtn.gamma, t)))
     return float(out) if np.ndim(out) == 0 else out

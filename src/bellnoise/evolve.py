@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .noise import _check_count, _check_nonnegative, _check_positive
 from .noise import (
     _telegraph_block_width,
     accumulate_block_phases,
@@ -67,7 +68,6 @@ MAX_NODES = 1024
 def check_topology(topology):
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}, expected one of {TOPOLOGIES}")
-    return topology
 
 
 def check_telegraph_block(rtn, horizon):
@@ -85,8 +85,7 @@ class HamiltonianSpec:
     nu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.nu) and self.nu > 0):
-            raise ValueError(f"nu must be finite and positive, got {self.nu}")
+        _check_positive("nu", self.nu)
 
 
 def sinc(x):
@@ -287,7 +286,7 @@ def _mc_mean(chunk_fn, payload, n_samples, workers, chunk_s):
         for start in range(0, n_samples, _CHUNK)
     ]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool_size = min(int(workers), len(tasks), cpus or 1)
+    pool_size = min(_check_count("workers", workers), len(tasks), cpus or 1)
     saving = chunk_s * len(tasks) * (1.0 - 1.0 / pool_size)
     if saving > 2.0 * _POOL_START_S * pool_size:
         # concurrent.futures and multiprocessing (thirty-odd modules) load on the
@@ -307,17 +306,12 @@ def _mc_mean(chunk_fn, payload, n_samples, workers, chunk_s):
     return sums / n_samples
 
 
-def _time_grid(t):
-    # A scalar or an ascending 1-D grid; the shape is kept so that a scalar
-    # time gives back a single state.
-    times = np.asarray(t, dtype=float)
-    shape = times.shape
-    times = np.atleast_1d(times)
-    if not np.all(np.isfinite(times)) or np.any(times < 0):
-        raise ValueError("times must be finite and nonnegative")
+def _time_grid(t, name="t"):
+    # a scalar or an ascending 1-D grid, and the shape that gives a scalar back
+    times = _check_nonnegative(name, t)
     if times.size > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly ascending")
-    return times, shape
+    return np.atleast_1d(times), times.shape
 
 
 def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
@@ -342,12 +336,11 @@ def average_static_mc(ham, noise, topology, t, n_samples, seed, workers=1):
     costs to start, so small runs stay in-process.
     """
     check_topology(topology)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _check_count("n_samples", n_samples)
     times, shape = _time_grid(t)
-    payload = (ham, noise, topology, times, int(seed), int(n_samples))
+    payload = (ham, noise, topology, times, int(seed), n_samples)
     chunk_s = (2 if topology == "separate" else 1) * times.size * _STATIC_UNIT_S
-    means = _mc_mean(_static_chunk, payload, int(n_samples), workers, chunk_s)
+    means = _mc_mean(_static_chunk, payload, n_samples, workers, chunk_s)
     z = np.exp(-4j * noise.c0 * ham.nu * times) * np.prod(means, axis=0)
     return dephased_bell_state(z.reshape(shape))
 
@@ -381,13 +374,12 @@ def average_rtn_mc(ham, rtn, topology, t_grid, n_traj, seed, workers=1):
     the grid size.
     """
     check_topology(topology)
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    times, shape = _time_grid(t_grid)
+    n_traj = _check_count("n_traj", n_traj)
+    times, shape = _time_grid(t_grid, "t_grid")
     check_telegraph_block(rtn, float(times.max()))
     payload = (ham, rtn, topology, times, int(seed))
     rows, queries = (2, times.size) if topology == "separate" else (1, 2 * times.size + 1)
     chunk_s = rows * (rtn.gamma * float(times.max()) + queries) * _RTN_UNIT_S
-    first, second = _mc_mean(_rtn_chunk, payload, int(n_traj), workers, chunk_s)
+    first, second = _mc_mean(_rtn_chunk, payload, n_traj, workers, chunk_s)
     z = (first * second).real
     return dephased_bell_state(z.reshape(shape))

@@ -14,6 +14,10 @@ chunk draws all of its samples from that generator as blocks whose shapes
 depend only on the chunk, the noise parameters and the time grid.  Results
 are therefore independent of worker count and of the order in which chunks
 run.
+
+Entry points check inputs by three rules: ``_check_positive`` (a finite,
+positive rate), ``_check_nonnegative`` (a finite, nonnegative time, grid or
+coupling) and ``_check_count`` (a whole sample or worker count >= 1).
 """
 
 from __future__ import annotations
@@ -25,6 +29,25 @@ from typing import NamedTuple
 import numpy as np
 
 
+def _check_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_nonnegative(name, values):
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= 0.0) & (values < math.inf))  # NaN fails the comparisons
+    if bad.any():
+        raise ValueError(f"{name} must be finite and nonnegative, got {values[bad].flat[0]}")
+    return values
+
+
+def _check_count(name, value):
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StaticNoiseSpec:
     """Flat-distributed static coupling: uniform on ``[c0 - delta_c/2, c0 + delta_c/2]``."""
@@ -33,8 +56,9 @@ class StaticNoiseSpec:
     delta_c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c0) and math.isfinite(self.delta_c) and self.delta_c > 0):
-            raise ValueError(f"need finite c0 and delta_c > 0, got {self.c0} and {self.delta_c}")
+        if not math.isfinite(self.c0):
+            raise ValueError(f"c0 must be finite, got {self.c0}")
+        _check_positive("delta_c", self.delta_c)
 
     @property
     def low(self):
@@ -45,11 +69,6 @@ class StaticNoiseSpec:
         return self.c0 + 0.5 * self.delta_c
 
 
-def _check_gamma(gamma):
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-
-
 @dataclass(frozen=True)
 class TelegraphSpec:
     """Random telegraph noise switching between -1 and +1 at rate ``gamma``."""
@@ -57,7 +76,7 @@ class TelegraphSpec:
     gamma: float
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        _check_positive("gamma", self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +152,7 @@ def sample_telegraph_block(spec, horizon, rows, rng):
     further blocks appended while any row ends before the horizon; flip times
     past the horizon are clipped to it.  Returns a :class:`TelegraphBlock`.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    _check_positive("horizon", horizon)
     initial = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
     width = _telegraph_block_width(spec, horizon)
     scale = 1.0 / spec.gamma
@@ -244,12 +262,9 @@ def decay_factor(coupling, gamma, t):
     closed branches lose precision as the discriminant vanishes.  Finite for
     every finite rate; ``coupling * t`` must be finite.
     """
-    if not (math.isfinite(coupling) and coupling >= 0):
-        raise ValueError(f"coupling must be finite and nonnegative, got {coupling}")
-    _check_gamma(gamma)
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t < math.inf)):
-        raise ValueError("t must be finite and nonnegative")
+    _check_nonnegative("coupling", coupling)
+    _check_positive("gamma", gamma)
+    t = _check_nonnegative("t", t)
     if not math.isfinite(coupling * float(np.max(t, initial=0.0))):
         raise ValueError(f"coupling * t must be finite, got {coupling:g} * {np.max(t):g}")
     # The discriminant sqrt|gamma^2 - coupling^2| is taken as a product of
@@ -298,10 +313,11 @@ def _i_series(x, order):
     return 0.5 * x * total if order else total
 
 
-def _i_asymptotic(x, order):
-    # DLMF 10.40.1 truncated at the smallest term; adequate to ~exp(-2x)
-    # relative error, i.e. below 1e-12 for x > 15.  Each entry stops at its
-    # own smallest term, so an entry's value does not depend on the others.
+def _i_asymptotic(x, order, shift):
+    # exp(-shift) I(x) by DLMF 10.40.1 truncated at the smallest term, to
+    # ~exp(-2x) relative error (below 1e-12 for x > 15), with x - shift as one
+    # exponent.  Each entry stops at its own smallest term, so an entry's
+    # value does not depend on the others.
     mu = 4.0 * order * order
     total = np.ones_like(x)
     term = np.ones_like(x)
@@ -316,19 +332,19 @@ def _i_asymptotic(x, order):
         total[adding] += term[adding]
         previous = size
         adding &= size >= 1e-18
-    return np.exp(x) / np.sqrt(2.0 * np.pi * x) * total
+    return np.exp(x - shift) / np.sqrt(2.0 * np.pi * x) * total
 
 
-def _bessel_i(x, order):
+def _bessel_i(x, order, shift=0.0):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     ax = np.atleast_1d(np.abs(x))
     out = np.empty_like(ax)
     small = ax <= _SERIES_CUTOFF
     if np.any(small):
-        out[small] = _i_series(ax[small], order)
+        out[small] = math.exp(-shift) * _i_series(ax[small], order)
     if np.any(~small):
-        out[~small] = _i_asymptotic(ax[~small], order)
+        out[~small] = _i_asymptotic(ax[~small], order, shift)
     if order:
         out = out * np.sign(np.atleast_1d(x))
     return float(out[0]) if scalar else out
@@ -363,16 +379,14 @@ def telegraph_phase_density(nu, gamma, t, phi):
 
     Outside the window the continuous density is zero.  ``phi`` may be a
     scalar or an array; an array gives the continuous density at each entry,
-    equal to the scalar value there.  Normalisation and the identity
-    ``<exp(i phi)> = decay_factor(nu, gamma, t)`` are exercised by the tests.
+    equal to the scalar value there.  ``exp(-gamma t)`` joins the asymptotic
+    Bessel form as one exponent ``u - gamma t``.  Normalisation and the
+    identity ``<exp(i phi)> = decay_factor(nu, gamma, t)`` are tested.
     """
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    atom = 0.5 * math.exp(-gamma * t)
+    for name, value in (("nu", nu), ("gamma", gamma), ("t", t)):
+        _check_positive(name, value)
+    decay = gamma * t
+    atom = 0.5 * math.exp(-decay)
     window = nu * t
     phi = np.asarray(phi, dtype=float)
     density = np.zeros(phi.shape)
@@ -380,23 +394,23 @@ def telegraph_phase_density(nu, gamma, t, phi):
     # float_power rounds through libm's pow, as a Python float's ``** 2``
     # does; ``x * x`` differs from it in the last bit about once in a thousand
     w = np.sqrt(1.0 - np.float_power(phi[inside] / window, 2))
-    u = gamma * t * w
+    u = decay * w
     # I1(u)/w = gamma*t * I1(u)/u stays finite as the window edge is approached.
-    i1_over_u = 0.5 + u * u / 16.0
+    i1_over_u = math.exp(-decay) * (0.5 + u * u / 16.0)
     exact = u >= 1e-6
-    i1_over_u[exact] = bessel_i1(u[exact]) / u[exact]
-    density[inside] = atom * (gamma / nu) * (gamma * t * i1_over_u + bessel_i0(u))
+    i1_over_u[exact] = _bessel_i(u[exact], 1, decay) / u[exact]
+    density[inside] = 0.5 * (gamma / nu) * (decay * i1_over_u + _bessel_i(u, 0, decay))
     return PhaseDensity(float(density) if density.ndim == 0 else density, atom)
 
 
 def telegraph_autocorrelation(gamma, t):
     """Stationary autocorrelation ``<c(t) c(0)> = exp(-2 gamma |t|)``."""
-    _check_gamma(gamma)
+    _check_positive("gamma", gamma)
     return np.exp(-2.0 * gamma * np.abs(np.asarray(t, dtype=float)))[()]
 
 
 def telegraph_spectrum(gamma, omega):
     """Lorentzian power spectrum ``4 gamma / (omega^2 + 4 gamma^2)``."""
-    _check_gamma(gamma)
+    _check_positive("gamma", gamma)
     omega = np.asarray(omega, dtype=float)
     return (4.0 * gamma / (omega * omega + 4.0 * gamma * gamma))[()]

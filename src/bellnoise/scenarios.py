@@ -35,7 +35,7 @@ from .evolve import (
     closed_form_rtn,
     closed_form_static,
 )
-from .noise import StaticNoiseSpec, TelegraphSpec
+from .noise import StaticNoiseSpec, TelegraphSpec, _check_nonnegative, _check_positive
 
 NOISE_KINDS = ("static", "rtn")
 METHODS = ("mc", "quadrature", "closed_form")
@@ -230,10 +230,13 @@ def find_deaths_and_revivals(times, values, threshold):
     threshold crossing.  Each stretch between consecutive deaths contributes
     its maximum as a ``(time, value)`` revival peak.
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_positive("threshold", threshold)
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if len(times) != len(values) or not np.all(np.diff(times) > 0):
+        raise ValueError("need one strictly ascending time per value")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     n = len(values)
     deaths = []
     resume_indices = []
@@ -361,8 +364,8 @@ def compare_methods(cfg, methods, tolerance=None):
     unique = sorted(set(methods))
     if len(unique) < 2:
         raise ValueError(f"compare needs at least two distinct methods, got {list(methods)}")
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    if tolerance is not None:
+        _check_nonnegative("tolerance", tolerance)
     configs = {m: replace(cfg, method=m) for m in unique}
     for config in configs.values():
         config.validate()

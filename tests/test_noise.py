@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from bellnoise import noise
+from bellnoise import evolve, noise
+from bellnoise.correlations import static_negativity, telegraph_negativity
+from bellnoise.evolve import (
+    HamiltonianSpec,
+    average_rtn_mc,
+    average_static_mc,
+    average_static_quadrature,
+    closed_form_rtn,
+    closed_form_static,
+)
 from bellnoise.noise import (
     StaticNoiseSpec,
     TelegraphSpec,
     TelegraphTrajectory,
+    _bessel_i,
     accumulate_block_phases,
     accumulate_phase,
     accumulate_phases,
@@ -483,14 +495,22 @@ class TestBessel:
 
 
 def _density_in_floats(nu, gamma, t, phi):
-    """The continuous phase density at one ``phi``, in Python floats."""
+    """The continuous phase density at one ``phi``, in Python floats.
+
+    ``_bessel_i(u, order, gamma t)`` is ``exp(-gamma t) I(u)``, as the density
+    forms it.
+    """
     window = nu * t
     if abs(phi) >= window:
         return 0.0
     w = math.sqrt(1.0 - (phi / window) ** 2)
-    u = gamma * t * w
-    i1_over_u = 0.5 + u * u / 16.0 if u < 1e-6 else bessel_i1(u) / u
-    return 0.5 * math.exp(-gamma * t) * (gamma / nu) * (gamma * t * i1_over_u + bessel_i0(u))
+    decay = gamma * t
+    u = decay * w
+    if u < 1e-6:
+        i1_over_u = math.exp(-decay) * (0.5 + u * u / 16.0)
+    else:
+        i1_over_u = _bessel_i(u, 1, decay) / u
+    return 0.5 * (gamma / nu) * (decay * i1_over_u + _bessel_i(u, 0, decay))
 
 
 class TestPhaseDensity:
@@ -570,6 +590,31 @@ class TestPhaseDensity:
         assert density[-7] == density[-6] == 0.0
         assert density[-5] > 0.0 and density[-4] > 0.0
 
+    @pytest.mark.parametrize("decay", [700.0, 710.0, 745.0, 1e4])
+    def test_matches_scaled_bessel_functions_at_large_gamma_t(self, decay):
+        # exp(-gamma t) and I(u) formed apart overflow at gamma t = 710 and
+        # give 0.0 at gamma t = 745; scipy's i0e and i1e are exp(-u) I(u)
+        nu, t = 1.0, 2.0
+        gamma = decay / t
+        phi = np.array([0.0, 0.3, -1.0, 1.6, 1.99])
+        u = decay * np.sqrt(1.0 - (phi / (nu * t)) ** 2)
+        scaled = np.exp(u - decay) * (decay * special.i1e(u) / u + special.i0e(u))
+        density = telegraph_phase_density(nu, gamma, t, phi).continuous_density
+        assert density[0] > 1.0
+        assert np.allclose(density, 0.5 * (gamma / nu) * scaled, rtol=1e-12, atol=0.0)
+
+    def test_total_mass_is_one_at_large_gamma_t(self):
+        nu, gamma, t = 1.0, 1e3, 1.0
+        mass, _ = integrate.quad(
+            lambda phi: telegraph_phase_density(nu, gamma, t, phi).continuous_density,
+            -nu * t,
+            nu * t,
+            points=[0.0],
+            limit=400,
+        )
+        total = mass + 2.0 * telegraph_phase_density(nu, gamma, t, 0.0).atom_weight
+        assert abs(total - 1.0) <= 1e-8
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             telegraph_phase_density(0.0, 1.0, 1.0, 0.0)
@@ -595,3 +640,65 @@ class TestAutocorrelationAndSpectrum:
             telegraph_autocorrelation(gamma, 1.0)
         with pytest.raises(ValueError, match="gamma must be finite and positive"):
             telegraph_spectrum(gamma, 0.0)
+
+
+class _NoDraws:
+    """A generator stand-in that fails on any use: a refusal must come first."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"used rng.{name} before refusing the input")
+
+
+def _entry_points():
+    """``(rule, parameter, call)`` for every library entry point and parameter it checks."""
+    static, rtn = StaticNoiseSpec(c0=1.0, delta_c=1.0), TelegraphSpec(gamma=1.0)
+    ham = HamiltonianSpec(nu=1.0)
+    return [
+        ("positive", "nu", lambda v: HamiltonianSpec(nu=v)),
+        ("positive", "nu", lambda v: static_negativity(static, v, 1.0, "separate")),
+        ("positive", "nu", lambda v: telegraph_negativity(rtn, v, 1.0, "common")),
+        ("positive", "nu", lambda v: telegraph_phase_density(v, 1.0, 1.0, 0.0)),
+        ("positive", "gamma", lambda v: telegraph_phase_density(1.0, v, 1.0, 0.0)),
+        ("positive", "t", lambda v: telegraph_phase_density(1.0, 1.0, v, 0.0)),
+        ("positive", "gamma", lambda v: TelegraphSpec(gamma=v)),
+        ("positive", "gamma", lambda v: decay_factor(1.0, v, 1.0)),
+        ("positive", "delta_c", lambda v: StaticNoiseSpec(c0=0.0, delta_c=v)),
+        ("positive", "horizon", lambda v: sample_telegraph_block(rtn, v, 4, _NoDraws())),
+        ("nonnegative", "t", lambda v: decay_factor(1.0, 1.0, v)),
+        ("nonnegative", "t", lambda v: static_negativity(static, 1.0, v, "common")),
+        ("nonnegative", "t", lambda v: closed_form_static(ham, static, "separate", v)),
+        ("nonnegative", "t", lambda v: closed_form_rtn(ham, rtn, "common", v)),
+        ("nonnegative", "t", lambda v: average_static_quadrature(ham, static, "common", v)),
+        ("nonnegative", "t", lambda v: average_static_mc(ham, static, "separate", v, 16, 0)),
+        ("nonnegative", "t_grid", lambda v: average_rtn_mc(ham, rtn, "common", v, 16, 0)),
+        ("count", "n_samples", lambda v: average_static_mc(ham, static, "common", 1.0, v, 0)),
+        ("count", "workers", lambda v: average_static_mc(ham, static, "common", 1.0, 16, 0, v)),
+        ("count", "n_traj", lambda v: average_rtn_mc(ham, rtn, "separate", 1.0, v, 0)),
+        ("count", "workers", lambda v: average_rtn_mc(ham, rtn, "separate", 1.0, 16, 0, v)),
+    ]
+
+
+_BAD = {
+    "positive": ("finite and positive", [math.nan, math.inf, -math.inf, 0.0, -1.0]),
+    "nonnegative": ("finite and nonnegative", [math.nan, math.inf, -1.0]),
+    "count": ("a whole number >= 1", [0, -1, 2.5, math.nan]),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, name, call, value",
+    [
+        pytest.param(rule, name, call, value, id=f"{k}-{name}-{value}")
+        for k, (rule, name, call) in enumerate(_entry_points())
+        for value in _BAD[rule][1]
+    ],
+)
+def test_every_entry_point_refuses_bad_parameters(monkeypatch, rule, name, call, value):
+    # one wording per rule, naming the parameter; raised before any draw and
+    # with no numpy warning on the way
+    monkeypatch.setattr(evolve, "substream", lambda seed, index: _NoDraws())
+    message = re.escape(f"{name} must be {_BAD[rule][0]}, got ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call(value)

@@ -335,6 +335,18 @@ class TestFeatures:
         assert out.death_times[0] == pytest.approx(0.95, abs=0.1)
         assert out.death_times[1] == pytest.approx(1.95, abs=0.1)
 
+    def test_refuses_samples_it_cannot_read(self):
+        # each once read as a death and a revival, or hid the death
+        values = [1.0, 0.0, 1.0, 1.0]
+        times = ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 2.0],
+                 [0.0, math.nan, 2.0, 3.0])
+        for bad in times:
+            with pytest.raises(ValueError, match="need one strictly ascending time per value"):
+                find_deaths_and_revivals(bad, values, 1e-3)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="values must be finite"):
+                find_deaths_and_revivals(np.arange(4.0), [1.0, bad, 1.0, 1.0], 1e-3)
+
     def test_static_separate_deaths_sit_at_envelope_zeros(self):
         cfg = static_config(t_max=20.0, n_points=801)
         curve = run_scenario(cfg)
